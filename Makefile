@@ -45,12 +45,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# prof-smoke is the self-profiling end-to-end check: capture a small
-# profiled run, then parse and summarize the journal with imcprof. CI
-# uploads $(PROF_OUT) as a workflow artifact so every run leaves an
+# prof-smoke is the self-profiling end-to-end check: profile a small
+# run with imcreport, then parse and summarize the journal with imcprof.
+# CI uploads $(PROF_OUT) as a workflow artifact so every run leaves an
 # inspectable profile behind.
 prof-smoke:
-	$(GO) run ./cmd/imcprof capture -sim 64 -ana 32 -steps 2 -label "ci smoke" -o $(PROF_OUT)
+	$(GO) run ./cmd/imcreport -workload synthetic -sim 64 -ana 32 -steps 2 -json '' -trace '' -profile $(PROF_OUT)
 	$(GO) run ./cmd/imcprof report -top 10 $(PROF_OUT)
 
 # chaos-smoke is the chaos-campaign end-to-end check: run the tiny CI

@@ -1,15 +1,13 @@
-// Command imcprof captures and reads simulator self-profiles: the run
-// journals produced by internal/prof that attribute the simulator's own
-// wall-clock time (not the modelled system's virtual time) to
-// (component kind, event site) pairs. It is the measurement half of the
-// "profile before parallelizing" discipline: the report names the event
-// sites any simulator-performance work must attack, and the diff mode
-// quantifies a before/after pair.
+// Command imcprof reads simulator self-profiles: the run journals
+// produced by internal/prof (written by `imcreport -profile`) that
+// attribute the simulator's own wall-clock time (not the modelled
+// system's virtual time) to (component kind, event site) pairs. It is
+// the measurement half of the "profile before parallelizing" discipline:
+// the report names the event sites any simulator-performance work must
+// attack, and the diff mode quantifies a before/after pair.
 //
 // Usage:
 //
-//	imcprof capture [-machine titan|cori] [-method <name>] [-workload <name>]
-//	                [-sim N] [-ana N] [-steps N] [-label s] [-o profile.json]
 //	imcprof report [-top N] profile.json
 //	imcprof diff [-top N] before.json after.json
 //
@@ -27,7 +25,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/imcstudy/imcstudy"
 	"github.com/imcstudy/imcstudy/internal/prof"
 )
 
@@ -40,71 +37,16 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: imcprof capture|report|diff ... (see -h of each)")
+		return fmt.Errorf("usage: imcprof report|diff ... (see -h of each)")
 	}
 	switch args[0] {
-	case "capture":
-		return capture(args[1:], w)
 	case "report":
 		return report(args[1:], w)
 	case "diff":
 		return diffCmd(args[1:], w)
 	default:
-		return fmt.Errorf("unknown subcommand %q; want capture, report or diff", args[0])
+		return fmt.Errorf("unknown subcommand %q; want report or diff", args[0])
 	}
-}
-
-// capture runs one profiled workflow and writes the profile JSON.
-func capture(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("imcprof capture", flag.ContinueOnError)
-	machine := fs.String("machine", "titan", "machine model: titan or cori")
-	method := fs.String("method", "DataSpaces/native", "coupling method (as in Figure 2's legend)")
-	workloadName := fs.String("workload", "synthetic", "workload: lammps, laplace or synthetic")
-	simProcs := fs.Int("sim", 32, "simulation processors")
-	anaProcs := fs.Int("ana", 16, "analytics processors")
-	steps := fs.Int("steps", 2, "coupling steps")
-	label := fs.String("label", "", "profile label (default method/machine/ranks)")
-	withMetrics := fs.Bool("metrics", true, "record modelled telemetry too (matches bench conditions)")
-	out := fs.String("o", "profile.json", "output profile file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg := imcstudy.RunConfig{
-		SimProcs:     *simProcs,
-		AnaProcs:     *anaProcs,
-		Steps:        *steps,
-		Metrics:      *withMetrics,
-		Profile:      true,
-		ProfileLabel: *label,
-	}
-	var ok bool
-	if cfg.Machine, ok = imcstudy.MachineByName(*machine); !ok {
-		return fmt.Errorf("unknown machine %q", *machine)
-	}
-	if cfg.Method, ok = imcstudy.MethodByName(*method); !ok {
-		return fmt.Errorf("unknown method %q", *method)
-	}
-	if cfg.Workload, ok = imcstudy.WorkloadByName(*workloadName); !ok {
-		return fmt.Errorf("unknown workload %q", *workloadName)
-	}
-	res, err := imcstudy.Run(cfg)
-	if err != nil {
-		return err
-	}
-	if res.Failed {
-		return fmt.Errorf("run failed: %v", res.FailErr)
-	}
-	buf, err := res.Profile.EncodeJSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s: %d events, virtual %.3fs, wall %.3fs\n",
-		*out, res.Profile.Deterministic.Events, res.Profile.Deterministic.VirtualS,
-		res.Profile.WallSeconds())
-	return nil
 }
 
 func readProfile(path string) (*prof.Profile, error) {

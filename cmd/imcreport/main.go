@@ -5,7 +5,9 @@
 // index tracks, memory profiles — plus a Perfetto-renderable trace with
 // counter tracks and put->get dataflow arrows. The engine is
 // deterministic and the encoders sort, so repeated runs of the same
-// configuration produce byte-identical files.
+// configuration produce byte-identical files. -profile also attaches the
+// simulator self-profiler and writes its run journal, which imcprof
+// reports on and diffs.
 //
 // Usage:
 //
@@ -13,6 +15,7 @@
 //	          [-sim N] [-ana N] [-steps N] [-servers N]
 //	          [-fail-staging-at T] [-replication K] [-checkpoint-every N]
 //	          [-json metrics.json] [-csv metrics.csv] [-trace trace.json]
+//	          [-profile profile.json]
 //	imcreport -list
 //
 // Exit status: 0 on a clean run, 2 when the modelled workflow itself
@@ -62,6 +65,7 @@ func run(args []string, w io.Writer) error {
 	jsonOut := fs.String("json", "metrics.json", "metrics JSON output file (empty = skip)")
 	csvOut := fs.String("csv", "", "metrics CSV output file (empty = skip)")
 	traceOut := fs.String("trace", "trace.json", "Perfetto trace output file (empty = skip)")
+	profileOut := fs.String("profile", "", "simulator self-profile output file (empty = run unprofiled)")
 	list := fs.Bool("list", false, "list known methods, machines and workloads, then exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,15 +78,18 @@ func run(args []string, w io.Writer) error {
 	}
 
 	cfg := imcstudy.RunConfig{
-		SimProcs:          *simProcs,
-		AnaProcs:          *anaProcs,
-		Steps:             *steps,
-		Servers:           *servers,
-		FailStagingNodeAt: *failStagingAt,
-		Replication:       *replication,
-		CheckpointEvery:   *checkpointEvery,
-		Metrics:           true,
-		Trace:             *traceOut != "",
+		SimProcs:        *simProcs,
+		AnaProcs:        *anaProcs,
+		Steps:           *steps,
+		Servers:         *servers,
+		Replication:     *replication,
+		CheckpointEvery: *checkpointEvery,
+		Metrics:         true,
+		Trace:           *traceOut != "",
+		Profile:         *profileOut != "",
+	}
+	if *failStagingAt > 0 {
+		cfg.Faults = imcstudy.StagingCrashAt(*failStagingAt)
 	}
 	var ok bool
 	cfg.Machine, ok = imcstudy.MachineByName(*machine)
@@ -131,6 +138,18 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "wrote Perfetto trace to %s\n", *traceOut)
+	}
+	if *profileOut != "" {
+		buf, err := res.Profile.EncodeJSON()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*profileOut, buf, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote self-profile to %s: %d events, virtual %.3fs, wall %.3fs\n",
+			*profileOut, res.Profile.Deterministic.Events, res.Profile.Deterministic.VirtualS,
+			res.Profile.WallSeconds())
 	}
 
 	summarize(w, res)

@@ -305,6 +305,11 @@ var (
 	ScaleSuite = core.ScaleSuite
 )
 
+// StagingCrashAt returns a fault plan that crashes the method's first
+// staging node at virtual time t (RunConfig.Faults); see
+// workflow.StagingCrashAt.
+func StagingCrashAt(t float64) *FaultPlan { return workflow.StagingCrashAt(t) }
+
 // LargeScale returns a synthetic coupled-run configuration sized to a
 // node budget on the machine (nodes <= 0 = the full machine: 18,688
 // Titan nodes, 9,688 Cori KNL nodes), with the paper's 2:1 sim:ana rank

@@ -183,7 +183,7 @@ func Fig7(o Options) *Table {
 			t.AddRow(method.String(), "-", "-", failCell(res.FailErr))
 			continue
 		}
-		for _, compName := range []string{"sim-0", serverComponent(method)} {
+		for _, compName := range []string{"sim-0", method.ServerPrefix() + "-0"} {
 			comp := res.Tracker.Component(compName)
 			for _, kind := range comp.Kinds() {
 				t.AddRow(method.String(), compName, kind, mb(comp.PeakOf(kind)))
@@ -200,17 +200,6 @@ func fig7Servers(method workflow.Method) int {
 		return 8
 	}
 	return 0
-}
-
-func serverComponent(method workflow.Method) string {
-	switch method {
-	case workflow.MethodDecaf:
-		return "decaf-server-0"
-	case workflow.MethodDIMESNative, workflow.MethodDIMESADIOS:
-		return "dimes-server-0"
-	default:
-		return "dataspaces-server-0"
-	}
 }
 
 // Fig11 regenerates Figure 11: Decaf dataflow memory and end-to-end time

@@ -39,7 +39,7 @@ func Resilience(o Options) *Table {
 			AnaProcs: 32,
 			Steps:    o.steps() + 2,
 			// Crash after the first coupling step's data landed.
-			FailStagingNodeAt: 11.0,
+			Faults: workflow.StagingCrashAt(11),
 		})
 		switch {
 		case err != nil:
@@ -55,15 +55,15 @@ func Resilience(o Options) *Table {
 	// readers fail over to surviving replicas and the failure detector
 	// triggers re-replication of the lost objects.
 	res, err := workflow.Run(workflow.Config{
-		Machine:           hpc.Titan(),
-		Method:            workflow.MethodDataSpacesNative,
-		Workload:          workflow.WorkloadLAMMPS,
-		SimProcs:          64,
-		AnaProcs:          32,
-		Steps:             o.steps() + 2,
-		Servers:           6,
-		Replication:       2,
-		FailStagingNodeAt: 11.0,
+		Machine:     hpc.Titan(),
+		Method:      workflow.MethodDataSpacesNative,
+		Workload:    workflow.WorkloadLAMMPS,
+		SimProcs:    64,
+		AnaProcs:    32,
+		Steps:       o.steps() + 2,
+		Servers:     6,
+		Replication: 2,
+		Faults:      workflow.StagingCrashAt(11),
 	})
 	switch {
 	case err != nil:
@@ -83,14 +83,14 @@ func Resilience(o Options) *Table {
 	// writers degrade to the Lustre path and readers are served from the
 	// durable checkpoints.
 	res, err = workflow.Run(workflow.Config{
-		Machine:           hpc.Titan(),
-		Method:            workflow.MethodDIMESNative,
-		Workload:          workflow.WorkloadLAMMPS,
-		SimProcs:          64,
-		AnaProcs:          32,
-		Steps:             o.steps() + 2,
-		CheckpointEvery:   2,
-		FailStagingNodeAt: 11.0,
+		Machine:         hpc.Titan(),
+		Method:          workflow.MethodDIMESNative,
+		Workload:        workflow.WorkloadLAMMPS,
+		SimProcs:        64,
+		AnaProcs:        32,
+		Steps:           o.steps() + 2,
+		CheckpointEvery: 2,
+		Faults:          workflow.StagingCrashAt(11),
 	})
 	switch {
 	case err != nil:

@@ -39,6 +39,10 @@ type layout struct {
 	simNodes    []*hpc.Node
 	anaNodes    []*hpc.Node
 	serverNodes []*hpc.Node
+	// stagingNodes hold the method's staged data (the RoleStaging pool):
+	// the server nodes, the simulation nodes for writer-side staging, or
+	// none.
+	stagingNodes []*hpc.Node
 	// serversPerNode is the staging-server packing density for this
 	// placement (shared mode spreads servers across the simulation nodes).
 	serversPerNode int
@@ -49,40 +53,26 @@ type layout struct {
 
 // buildCoupler constructs the method's coupler. det is the failure
 // detector driving replication failover (nil when replication is off);
-// CheckpointEvery wraps staged methods in the checkpoint-to-Lustre
-// fallback.
+// CheckpointEvery wraps methods that stage on compute nodes in the
+// checkpoint-to-Lustre fallback.
 func buildCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, det *staging.Detector) (coupler, error) {
-	inner, err := buildInnerCoupler(cfg, m, d, lay, det)
+	row := cfg.Method.traits()
+	inner, err := row.newCoupler(cfg, m, d, lay, det)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CheckpointEvery > 0 && cfg.Method.Couples() && cfg.Method != MethodMPIIO {
+	if cfg.CheckpointEvery > 0 && row.stages != stageNone {
 		return newResilientCoupler(cfg, m, d, lay, inner), nil
 	}
 	return inner, nil
 }
 
-func buildInnerCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, det *staging.Detector) (coupler, error) {
-	switch cfg.Method {
-	case MethodSimOnly, MethodAnalyticsOnly:
-		return nopCoupler{}, nil
-	case MethodDataSpacesNative, MethodDataSpacesADIOS:
-		return newDataSpacesCoupler(cfg, m, d, lay, det)
-	case MethodDIMESNative, MethodDIMESADIOS:
-		return newDIMESCoupler(cfg, m, d, lay)
-	case MethodFlexpath:
-		return newFlexpathCoupler(cfg, m, d, lay)
-	case MethodDecaf:
-		return newDecafCoupler(cfg, m, d, lay)
-	case MethodMPIIO:
-		return newMPIIOCoupler(cfg, m, d, lay)
-	default:
-		return nil, fmt.Errorf("workflow: unknown method %v", cfg.Method)
-	}
-}
-
 // nopCoupler backs the simulation-only and analytics-only baselines.
 type nopCoupler struct{}
+
+func newNopCoupler(Config, *hpc.Machine, *driver, *layout, *staging.Detector) (coupler, error) {
+	return nopCoupler{}, nil
+}
 
 func (nopCoupler) initWriter(*sim.Proc, int) error { return nil }
 func (nopCoupler) initReader(*sim.Proc, int) error { return nil }
@@ -161,8 +151,8 @@ func newDataSpacesCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, de
 		}
 		c.readers = append(c.readers, cl)
 	}
-	if cfg.Method == MethodDataSpacesADIOS {
-		xcfg, err := adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), adios.MethodDataSpaces,
+	if kind := cfg.Method.traits().adios; kind != 0 {
+		xcfg, err := adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), kind,
 			"lock_type=2;hash_version=2;max_versions=1")))
 		if err != nil {
 			return nil, err
@@ -244,18 +234,14 @@ type dimesCoupler struct {
 	ar      []*adios.Reader
 }
 
-func newDIMESCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout) (coupler, error) {
+func newDIMESCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, _ *staging.Detector) (coupler, error) {
+	row := cfg.Method.traits()
 	bufBytes := cfg.RDMABufBytes
 	if bufBytes == 0 {
-		// Table I: 1 GiB through ADIOS, 2 GiB native.
-		if cfg.Method == MethodDIMESADIOS {
-			bufBytes = 1 << 30
-		} else {
-			bufBytes = 2 << 30
-		}
+		bufBytes = row.rdmaBufBytes
 	}
 	sys, err := dimes.Deploy(m, dimes.Config{
-		MetaServers:        4,
+		MetaServers:        cfg.servers(),
 		MetaServersPerNode: lay.serversPerNode,
 		Mode:               cfg.transport(),
 		MaxVersions:        1,
@@ -280,8 +266,8 @@ func newDIMESCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout) (couple
 		}
 		c.readers = append(c.readers, cl)
 	}
-	if cfg.Method == MethodDIMESADIOS {
-		xcfg, err := adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), adios.MethodDIMES,
+	if row.adios != 0 {
+		xcfg, err := adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), row.adios,
 			"max_versions=1")))
 		if err != nil {
 			return nil, err
@@ -352,13 +338,13 @@ type flexpathCoupler struct {
 	ar      []*adios.Reader
 }
 
-func newFlexpathCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout) (coupler, error) {
+func newFlexpathCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, _ *staging.Detector) (coupler, error) {
 	sys := flexpath.Deploy(m, flexpath.Config{
 		Mode:      cfg.transport(),
 		QueueSize: cfg.queueSize(),
 	})
 	c := &flexpathCoupler{cfg: cfg, d: d}
-	xcfg, err := adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), adios.MethodFlexpath,
+	xcfg, err := adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), cfg.Method.traits().adios,
 		"queue_size=1;CMTransport=nnti")))
 	if err != nil {
 		return nil, err
@@ -432,7 +418,7 @@ type decafCoupler struct {
 	consumers []*decaf.Client
 }
 
-func newDecafCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout) (coupler, error) {
+func newDecafCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, _ *staging.Detector) (coupler, error) {
 	g := decaf.NewGraph()
 	g.AddNode("prod", decaf.RoleProducer, cfg.SimProcs)
 	g.AddNode("dflow", decaf.RoleDflow, cfg.servers())
@@ -573,7 +559,7 @@ type mpiioCoupler struct {
 	files map[int]*bp.Reader // step -> finalized file
 }
 
-func newMPIIOCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout) (coupler, error) {
+func newMPIIOCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, _ *staging.Detector) (coupler, error) {
 	sys, err := mpiio.New(m, mpiio.Config{StripeCount: -1, Writers: cfg.SimProcs})
 	if err != nil {
 		return nil, err

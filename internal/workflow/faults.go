@@ -99,6 +99,16 @@ type FaultPlan struct {
 	OpFaults []TransientWindow
 }
 
+// StagingCrashAt returns the machine failure of Section IV-C as a plan:
+// at virtual time t the method's first staging node crashes — a server
+// node for DataSpaces/DIMES/Decaf, a simulation node for Flexpath (whose
+// staging is writer-side). MPI-IO has no staging node; its data is
+// already on the filesystem. Add further faults to the returned plan to
+// compose them with the crash.
+func StagingCrashAt(t sim.Time) *FaultPlan {
+	return &FaultPlan{Crashes: []NodeCrash{{Role: RoleStaging, Index: 0, At: t}}}
+}
+
 // Empty reports whether the plan injects nothing.
 func (fp *FaultPlan) Empty() bool {
 	return fp == nil || (fp.RandomCrashes == 0 && len(fp.Crashes) == 0 &&
@@ -219,7 +229,7 @@ func (fp *FaultPlan) expandCrashes(stagingNodes int) []NodeCrash {
 // faultNode resolves a (role, index) target against the placement.
 // A nil node with nil error means the role has no such node for this
 // method (e.g. RoleStaging under MPI-IO) and the fault is skipped.
-func faultNode(cfg Config, lay *layout, role FaultRole, index int) (*hpc.Node, error) {
+func faultNode(lay *layout, role FaultRole, index int) (*hpc.Node, error) {
 	pool := func(nodes []*hpc.Node) (*hpc.Node, error) {
 		if len(nodes) == 0 {
 			return nil, nil
@@ -231,13 +241,7 @@ func faultNode(cfg Config, lay *layout, role FaultRole, index int) (*hpc.Node, e
 	}
 	switch role {
 	case RoleStaging:
-		if len(lay.serverNodes) > 0 {
-			return pool(lay.serverNodes)
-		}
-		if cfg.Method == MethodFlexpath {
-			return pool(lay.simNodes)
-		}
-		return nil, nil // MPI-IO: the staged data is on Lustre
+		return pool(lay.stagingNodes)
 	case RoleSim:
 		return pool(lay.simNodes)
 	case RoleAna:
@@ -258,7 +262,7 @@ func applyFaultPlan(cfg Config, e *sim.Engine, m *hpc.Machine, lay *layout, det 
 	}
 	reg := m.Metrics
 	for _, cr := range plan.expandCrashes(len(lay.serverNodes)) {
-		node, err := faultNode(cfg, lay, cr.Role, cr.Index)
+		node, err := faultNode(lay, cr.Role, cr.Index)
 		if err != nil {
 			return err
 		}
@@ -295,7 +299,7 @@ func applyFaultPlan(cfg Config, e *sim.Engine, m *hpc.Machine, lay *layout, det 
 	// timestamp nets out to the base rate exactly.
 	degraded := make(map[*hpc.Node]*nodeDegradation)
 	for _, dg := range plan.Degradations {
-		node, err := faultNode(cfg, lay, dg.Role, dg.Index)
+		node, err := faultNode(lay, dg.Role, dg.Index)
 		if err != nil {
 			return err
 		}
@@ -327,7 +331,7 @@ func applyFaultPlan(cfg Config, e *sim.Engine, m *hpc.Machine, lay *layout, det 
 		})
 	}
 	for _, tw := range plan.Timeouts {
-		node, err := faultNode(cfg, lay, tw.Role, tw.Index)
+		node, err := faultNode(lay, tw.Role, tw.Index)
 		if err != nil {
 			return err
 		}
@@ -353,7 +357,7 @@ func applyFaultPlan(cfg Config, e *sim.Engine, m *hpc.Machine, lay *layout, det 
 		{"opfault_windows", 0x5bd1, (*hpc.Node).AddOpFaultWindow, plan.OpFaults},
 	} {
 		for i, w := range list.ws {
-			node, err := faultNode(cfg, lay, w.Role, w.Index)
+			node, err := faultNode(lay, w.Role, w.Index)
 			if err != nil {
 				return err
 			}

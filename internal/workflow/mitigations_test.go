@@ -195,7 +195,7 @@ func TestNodeFailureCrashesStaging(t *testing.T) {
 		Method:   MethodDataSpacesNative,
 		Workload: WorkloadLAMMPS,
 		SimProcs: 16, AnaProcs: 8, Steps: 4,
-		FailStagingNodeAt: 11.0,
+		Faults: StagingCrashAt(11),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestNodeFailureCrashesStaging(t *testing.T) {
 		Method:   MethodMPIIO,
 		Workload: WorkloadLAMMPS,
 		SimProcs: 16, AnaProcs: 8, Steps: 4,
-		FailStagingNodeAt: 11.0,
+		Faults: StagingCrashAt(11),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,15 +18,15 @@ import (
 // the failure detector re-replicates the lost objects.
 func TestReplicationSurvivesStagingCrash(t *testing.T) {
 	cfg := Config{
-		Machine:           hpc.Titan(),
-		Method:            MethodDataSpacesNative,
-		Workload:          WorkloadLAMMPS,
-		SimProcs:          8,
-		AnaProcs:          4,
-		Steps:             5,
-		Servers:           6,
-		FailStagingNodeAt: 11,
-		Metrics:           true,
+		Machine:  hpc.Titan(),
+		Method:   MethodDataSpacesNative,
+		Workload: WorkloadLAMMPS,
+		SimProcs: 8,
+		AnaProcs: 4,
+		Steps:    5,
+		Servers:  6,
+		Faults:   StagingCrashAt(11),
+		Metrics:  true,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -102,15 +102,15 @@ func TestCheckpointFallbackRollsBack(t *testing.T) {
 // from the durable checkpoints — survival without rollback.
 func TestCheckpointFallbackSurvivesStagingCrash(t *testing.T) {
 	res, err := Run(Config{
-		Machine:           hpc.Titan(),
-		Method:            MethodDIMESNative,
-		Workload:          WorkloadLAMMPS,
-		SimProcs:          8,
-		AnaProcs:          4,
-		Steps:             5,
-		CheckpointEvery:   2,
-		FailStagingNodeAt: 22,
-		Metrics:           true,
+		Machine:         hpc.Titan(),
+		Method:          MethodDIMESNative,
+		Workload:        WorkloadLAMMPS,
+		SimProcs:        8,
+		AnaProcs:        4,
+		Steps:           5,
+		CheckpointEvery: 2,
+		Faults:          StagingCrashAt(22),
+		Metrics:         true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,22 +126,21 @@ func TestCheckpointFallbackSurvivesStagingCrash(t *testing.T) {
 	}
 }
 
-// TestLegacyFailStagingNodeAtFoldsIntoPlan: the pre-FaultPlan knob must
-// keep crashing unprotected runs exactly as before, now routed through
-// the plan machinery.
-func TestLegacyFailStagingNodeAtFoldsIntoPlan(t *testing.T) {
+// TestStagingCrashAtComposesWithPlan: the StagingCrashAt plan takes
+// further faults and still crashes an unprotected run, with both the
+// crash and the added window injected.
+func TestStagingCrashAtComposesWithPlan(t *testing.T) {
+	plan := StagingCrashAt(11)
+	plan.Timeouts = []TimeoutWindow{{Role: RoleSim, Index: 0, At: 0, Duration: 5, Extra: 0.001}}
 	res, err := Run(Config{
-		Machine:           hpc.Titan(),
-		Method:            MethodDataSpacesNative,
-		Workload:          WorkloadLAMMPS,
-		SimProcs:          8,
-		AnaProcs:          4,
-		Steps:             3,
-		FailStagingNodeAt: 11,
-		Faults: &FaultPlan{
-			Timeouts: []TimeoutWindow{{Role: RoleSim, Index: 0, At: 0, Duration: 5, Extra: 0.001}},
-		},
-		Metrics: true,
+		Machine:  hpc.Titan(),
+		Method:   MethodDataSpacesNative,
+		Workload: WorkloadLAMMPS,
+		SimProcs: 8,
+		AnaProcs: 4,
+		Steps:    3,
+		Faults:   plan,
+		Metrics:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +149,7 @@ func TestLegacyFailStagingNodeAtFoldsIntoPlan(t *testing.T) {
 		t.Fatal("unprotected run should still crash")
 	}
 	if v := res.Metrics.Counter("faults/crashes").Value(); v != 1 {
-		t.Fatalf("faults/crashes = %v, want 1 (FailStagingNodeAt folded into the plan)", v)
+		t.Fatalf("faults/crashes = %v, want 1", v)
 	}
 	if v := res.Metrics.Counter("faults/timeout_windows").Value(); v != 1 {
 		t.Fatalf("faults/timeout_windows = %v, want 1", v)
@@ -241,7 +240,7 @@ func TestGoldenFaultedRun(t *testing.T) {
 	cfg.CheckpointEvery = 2
 	cfg.Steps = 3
 	cfg.Trace = false
-	cfg.FailStagingNodeAt = 0.001
+	cfg.Faults = StagingCrashAt(0.001)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -117,22 +117,10 @@ type Config struct {
 	// schedules into it.
 	Profile bool
 
-	// ProfileLabel tags Result.Profile (defaults to
-	// "method machine sim+ana" when empty).
-	ProfileLabel string
-
-	// FailStagingNodeAt injects a machine failure (Section IV-C): at the
-	// given virtual time the method's first staging-role node crashes —
-	// a server node for DataSpaces/DIMES/Decaf, a simulation node for
-	// Flexpath (whose staging is writer-side). Zero disables. MPI-IO has
-	// no staging node; its data is already on the filesystem. It is
-	// shorthand for a one-crash Faults plan.
-	FailStagingNodeAt float64
-
 	// Faults injects a seed-deterministic schedule of node crashes, link
 	// degradation windows, message-timeout windows and transient-fault
-	// windows (message loss, server-busy rejections, op faults); it
-	// generalizes FailStagingNodeAt (both compose).
+	// windows (message loss, server-busy rejections, op faults).
+	// StagingCrashAt builds the machine failure of Section IV-C.
 	Faults *FaultPlan
 
 	// Retry models a client-side retry/backoff policy on staged puts,
@@ -160,12 +148,6 @@ type Config struct {
 	// durable version rather than aborting. 0 disables. Applies to every
 	// staged method; MPI-IO is already durable.
 	CheckpointEvery int
-	// HeartbeatInterval and HeartbeatMisses size the failure detector
-	// (zero = 0.5 s heartbeats, 3 misses). Detection latency — the gap
-	// between a crash and the lease expiring — is part of the modeled
-	// recovery time.
-	HeartbeatInterval float64
-	HeartbeatMisses   int
 
 	// forceFullRates disables the incremental fair-share optimization,
 	// rerunning the exact full recomputation on every network change.
@@ -176,25 +158,16 @@ type Config struct {
 // resilient reports whether any resilience mechanism is enabled.
 func (c Config) resilient() bool { return c.Replication > 1 || c.CheckpointEvery > 0 }
 
-// servers returns the staging-server count under the paper's
-// provisioning: Decaf uses one server per analytics processor; DataSpaces
-// one per 8 analytics processors; DIMES four metadata servers.
+// servers returns the staging-server count: Servers when set, else the
+// method's default provisioning (0 for a method without servers).
 func (c Config) servers() int {
 	if c.Servers > 0 {
 		return c.Servers
 	}
-	switch c.Method {
-	case MethodDecaf:
-		return c.AnaProcs
-	case MethodDIMESADIOS, MethodDIMESNative:
-		return 4
-	default:
-		n := c.AnaProcs / 8
-		if n < 1 {
-			n = 1
-		}
-		return n
+	if f := c.Method.traits().servers; f != nil {
+		return f(c.AnaProcs)
 	}
+	return 0
 }
 
 func (c Config) serversPerNode() int {
@@ -344,6 +317,10 @@ func Run(cfg Config) (res Result, err error) {
 }
 
 func run(cfg Config) (Result, error) {
+	if !cfg.Method.known() {
+		return Result{}, fmt.Errorf("workflow: unknown method %v", cfg.Method)
+	}
+	row := cfg.Method.traits()
 	if cfg.SimProcs <= 0 || cfg.AnaProcs <= 0 {
 		return Result{}, fmt.Errorf("workflow: procs (%d,%d)", cfg.SimProcs, cfg.AnaProcs)
 	}
@@ -376,10 +353,7 @@ func run(cfg Config) (Result, error) {
 	m.Retry = retry.New(cfg.Retry, res.Metrics)
 	var profiler *prof.Profiler
 	if cfg.Profile {
-		label := cfg.ProfileLabel
-		if label == "" {
-			label = fmt.Sprintf("%s %s %d+%d", cfg.Method, cfg.Machine.Name, cfg.SimProcs, cfg.AnaProcs)
-		}
+		label := fmt.Sprintf("%s %s %d+%d", cfg.Method, cfg.Machine.Name, cfg.SimProcs, cfg.AnaProcs)
 		profiler = prof.New(prof.Options{Label: label})
 		e.SetProfiler(profiler)
 	}
@@ -408,10 +382,7 @@ func run(cfg Config) (Result, error) {
 
 	var det *staging.Detector
 	if cfg.Replication > 1 {
-		det = staging.NewDetector(m, staging.DetectorConfig{
-			Interval: sim.Time(cfg.HeartbeatInterval),
-			Misses:   cfg.HeartbeatMisses,
-		})
+		det = staging.NewDetector(m, staging.DetectorConfig{})
 	}
 
 	c, err := buildCoupler(cfg, m, d, lay, det)
@@ -431,24 +402,8 @@ func run(cfg Config) (Result, error) {
 		return res, nil
 	}
 
-	plan := cfg.Faults
-	if cfg.FailStagingNodeAt > 0 {
-		// Legacy shorthand: fold the single staging crash into the plan.
-		merged := FaultPlan{}
-		if plan != nil {
-			merged = *plan
-		}
-		merged.Crashes = append(append([]NodeCrash(nil), merged.Crashes...),
-			NodeCrash{Role: RoleStaging, Index: 0, At: sim.Time(cfg.FailStagingNodeAt)})
-		plan = &merged
-		cfg.Faults = plan
-	}
-	pools := FaultPools{Staging: len(lay.serverNodes), Sim: len(lay.simNodes), Ana: len(lay.anaNodes)}
-	if pools.Staging == 0 && cfg.Method == MethodFlexpath {
-		// Flexpath stages writer-side: staging faults land on sim nodes.
-		pools.Staging = len(lay.simNodes)
-	}
-	if err := plan.Validate(pools); err != nil {
+	pools := FaultPools{Staging: len(lay.stagingNodes), Sim: len(lay.simNodes), Ana: len(lay.anaNodes)}
+	if err := cfg.Faults.Validate(pools); err != nil {
 		return Result{}, err
 	}
 	if err := applyFaultPlan(cfg, e, m, lay, det, c); err != nil {
@@ -456,11 +411,11 @@ func run(cfg Config) (Result, error) {
 	}
 
 	steps := cfg.steps()
-	// readDone throttles writers: with max_versions=1 a writer must not
-	// overwrite a version analytics still reads.
+	// readDone throttles writers of server-staged methods: with
+	// max_versions=1 a writer must not overwrite a version analytics
+	// still reads.
 	readDone := staging.NewGate(e, cfg.AnaProcs)
-	throttled := cfg.Method == MethodDataSpacesADIOS || cfg.Method == MethodDataSpacesNative ||
-		cfg.Method == MethodDIMESADIOS || cfg.Method == MethodDIMESNative || cfg.Method == MethodDecaf
+	throttled := row.stages == stageServers
 
 	var putTimes, getTimes []sim.Time
 	putTimes = make([]sim.Time, cfg.SimProcs)
@@ -489,7 +444,7 @@ func run(cfg Config) (Result, error) {
 		return nil
 	}
 
-	if cfg.Method != MethodAnalyticsOnly {
+	if row.sim {
 		for i := 0; i < cfg.SimProcs; i++ {
 			i := i
 			body := func(p *sim.Proc) error {
@@ -507,7 +462,7 @@ func run(cfg Config) (Result, error) {
 						return err
 					}
 					span(comp, "compute", tc, p.Now(), stepArgs(s, 0))
-					if !cfg.Method.Couples() {
+					if !row.couples {
 						continue
 					}
 					if throttled && s > 0 {
@@ -542,7 +497,7 @@ func run(cfg Config) (Result, error) {
 	}
 
 	verified := cfg.Dense
-	if cfg.Method != MethodSimOnly {
+	if row.ana {
 		for r := 0; r < cfg.AnaProcs; r++ {
 			r := r
 			body := func(p *sim.Proc) error {
@@ -551,7 +506,7 @@ func run(cfg Config) (Result, error) {
 				}
 				comp := fmt.Sprintf("ana-%d", r)
 				for s := 0; s < steps; s++ {
-					if cfg.Method.Couples() {
+					if row.couples {
 						t0 := p.Now()
 						blk, got, err := c.get(p, r, s)
 						if err != nil {
@@ -622,8 +577,10 @@ func run(cfg Config) (Result, error) {
 	}
 	res.SimPeakBytes = m.Mem.MaxPeakMatching("sim-")
 	res.AnaPeakBytes = m.Mem.MaxPeakMatching("ana-")
-	res.ServerPeakBytes = maxServerPeak(m.Mem)
-	res.ServerTotalBytes = serverTotal(m.Mem)
+	if row.serverPrefix != "" {
+		res.ServerPeakBytes = m.Mem.MaxPeakMatching(row.serverPrefix)
+		res.ServerTotalBytes = m.Mem.PeakMatching(row.serverPrefix)
+	}
 	if m.DRC != nil {
 		res.DRCRequests = m.DRC.Requests()
 		res.DRCFailures = m.DRC.Failures()
@@ -638,9 +595,9 @@ func run(cfg Config) (Result, error) {
 		res.FallbackReads = o.FallbackReads
 		res.RolledBackSteps = o.RolledBackSteps
 	}
-	finalizeMetrics(&res, m)
+	finalizeMetrics(&res, m, row)
 	res.Profile = profiler.Snapshot()
-	res.Verified = verified && cfg.Method.Couples()
+	res.Verified = verified && row.couples
 	return res, nil
 }
 
@@ -649,7 +606,7 @@ func run(cfg Config) (Result, error) {
 // DRC counters, and the memory profiles of the staging servers and lead
 // ranks — making the metrics report the single source of truth for the
 // paper's bandwidth and memory figures.
-func finalizeMetrics(res *Result, m *hpc.Machine) {
+func finalizeMetrics(res *Result, m *hpc.Machine, row *methodTraits) {
 	reg := res.Metrics
 	if reg == nil {
 		return
@@ -678,25 +635,11 @@ func finalizeMetrics(res *Result, m *hpc.Machine) {
 		reg.Counter("drc/requests").Add(float64(m.DRC.Requests()))
 		reg.Counter("drc/failures").Add(float64(m.DRC.Failures()))
 	}
-	m.Mem.BridgeTo(reg, "dataspaces-server", "dimes-server", "decaf-server", "sim-0", "ana-0")
-}
-
-func maxServerPeak(t *memprof.Tracker) int64 {
-	var max int64
-	for _, prefix := range []string{"dataspaces-server", "dimes-server", "decaf-server"} {
-		if v := t.MaxPeakMatching(prefix); v > max {
-			max = v
-		}
+	comps := []string{"sim-0", "ana-0"}
+	if row.serverPrefix != "" {
+		comps = append(comps, row.serverPrefix)
 	}
-	return max
-}
-
-func serverTotal(t *memprof.Tracker) int64 {
-	var total int64
-	for _, prefix := range []string{"dataspaces-server", "dimes-server", "decaf-server"} {
-		total += t.PeakMatching(prefix)
-	}
-	return total
+	m.Mem.BridgeTo(reg, comps...)
 }
 
 // place builds the machine and the role-to-node layout.
@@ -704,7 +647,8 @@ func place(e *sim.Engine, cfg Config) (*layout, *hpc.Machine, error) {
 	rpn := cfg.Machine.CoresPerNode
 	simNodes := ceilDiv(cfg.SimProcs, rpn)
 	anaNodes := ceilDiv(cfg.AnaProcs, rpn)
-	hasServers := cfg.Method.Couples() && cfg.Method != MethodFlexpath && cfg.Method != MethodMPIIO
+	row := cfg.Method.traits()
+	hasServers := row.stages == stageServers
 	serverNodes := 0
 	spn := cfg.serversPerNode()
 	if hasServers {
@@ -748,6 +692,12 @@ func place(e *sim.Engine, cfg Config) (*layout, *hpc.Machine, error) {
 		next += anaNodes
 		lay.serverNodes = m.Nodes[next : next+serverNodes]
 	}
+	switch row.stages {
+	case stageServers:
+		lay.stagingNodes = lay.serverNodes
+	case stageWriters:
+		lay.stagingNodes = lay.simNodes
+	}
 
 	// Enforce the machine's job-per-node policy (Finding 5).
 	if _, err := m.PlaceJob("sim", 0, simNodes); err != nil {
@@ -785,18 +735,6 @@ func place(e *sim.Engine, cfg Config) (*layout, *hpc.Machine, error) {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// stagingVictim picks the node whose crash the failure injection
-// simulates: where the method's staged data lives.
-func stagingVictim(cfg Config, lay *layout) *hpc.Node {
-	if len(lay.serverNodes) > 0 {
-		return lay.serverNodes[0]
-	}
-	if cfg.Method == MethodFlexpath {
-		return lay.simNodes[0]
-	}
-	return nil // MPI-IO: the staged data is on Lustre, off the compute nodes
-}
 
 // IsResourceFailure reports whether a run failure is one of the Table IV
 // resource classes (as opposed to a logic error).

@@ -36,7 +36,7 @@ func LargeScale(spec hpc.Spec, method Method, nodes, steps int) Config {
 	if anaN < 1 {
 		anaN = 1
 	}
-	hasServers := method.Couples() && method != MethodFlexpath && method != MethodMPIIO
+	hasServers := method.traits().stages == stageServers
 	for {
 		cfg.SimProcs = simN * rpn
 		cfg.AnaProcs = anaN * rpn

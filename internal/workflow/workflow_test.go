@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/imcstudy/imcstudy/internal/hpc"
@@ -284,5 +285,49 @@ func TestMemoryPeaksPopulated(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Machine: hpc.Titan(), Method: MethodSimOnly, Workload: WorkloadLAMMPS}); err == nil {
 		t.Fatal("zero procs accepted")
+	}
+}
+
+// TestUnknownMethodIsSetupError: a Method outside the table is a caller
+// mistake, so Run rejects it up front rather than reporting a modelled
+// failure; every listed method's name resolves back to it.
+func TestUnknownMethodIsSetupError(t *testing.T) {
+	for _, m := range []Method{0, 99} {
+		cfg := denseBase(m)
+		res, err := Run(cfg)
+		if err == nil || res.Failed {
+			t.Errorf("Method(%d): err=%v Failed=%v, want a setup error and no modelled failure", int(m), err, res.Failed)
+		}
+	}
+	for _, m := range Methods() {
+		if got, ok := MethodByName(m.String()); !ok || got != m {
+			t.Errorf("MethodByName(%q) = %v, %v; want %v", m.String(), got, ok, m)
+		}
+	}
+}
+
+// TestDIMESDeploysConfiguredServers: DIMES runs exactly the requested
+// number of metadata servers, packed two per node.
+func TestDIMESDeploysConfiguredServers(t *testing.T) {
+	for _, servers := range []int{2, 6} {
+		cfg := denseBase(MethodDIMESNative)
+		cfg.Servers = servers
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed {
+			t.Errorf("Servers=%d: run failed: %v", servers, res.FailErr)
+			continue
+		}
+		n := 0
+		for _, c := range res.Tracker.Components() {
+			if strings.HasPrefix(c.Name(), "dimes-server-") {
+				n++
+			}
+		}
+		if n != servers {
+			t.Errorf("Servers=%d: %d dimes-server components, want %d", servers, n, servers)
+		}
 	}
 }
