@@ -105,12 +105,24 @@ type System struct {
 	servers []*MetaServer
 	gate    *staging.Gate
 	// owners tracks which clients hold blocks of each version and where.
-	owners map[staging.Key][]ownerEntry
+	owners map[staging.Key]*ownerSet
 }
 
-type ownerEntry struct {
-	box    ndarray.Box
-	client *Client
+// ownerSet is the registry of one version: block i was registered by
+// clients[i] with box i of index, in registration order. Entries of
+// clients that have since evicted the version stay (a Get reaching one
+// fails through that client's store) until no client holds it.
+type ownerSet struct {
+	index   ndarray.BoxIndex
+	clients []*Client
+	// holders counts the clients still holding the version.
+	holders int
+}
+
+// add registers c as the owner of a block covering box.
+func (s *ownerSet) add(box ndarray.Box, c *Client) {
+	s.index.Add(box.Clone())
+	s.clients = append(s.clients, c)
 }
 
 // Deploy starts the metadata servers on the given nodes.
@@ -128,7 +140,7 @@ func Deploy(m *hpc.Machine, cfg Config, nodes []*hpc.Node) (*System, error) {
 		cfg:    cfg,
 		m:      m,
 		gate:   staging.NewGate(m.E, cfg.Writers),
-		owners: make(map[staging.Key][]ownerEntry),
+		owners: make(map[staging.Key]*ownerSet),
 	}
 	for i := 0; i < cfg.MetaServers; i++ {
 		node := nodes[i/cfg.MetaServersPerNode]
@@ -174,10 +186,18 @@ type Client struct {
 	name string
 
 	store    *staging.Store
-	pinned   map[staging.Key][]*rdma.Region
-	keyBytes map[staging.Key]int64
+	held     map[staging.Key]*heldVersion
 	pinBytes int64
 	versions map[string][]int
+}
+
+// heldVersion is what a client holds of one version it put.
+type heldVersion struct {
+	bytes  int64
+	pinned []*rdma.Region
+	// owner records that the client counts among the version's
+	// ownerSet holders.
+	owner bool
 }
 
 // NewClient attaches a client on node.
@@ -188,8 +208,7 @@ func (s *System) NewClient(node *hpc.Node, job, name string, perStepBytes int64)
 		ep:       transport.NewEndpoint(s.m, node, job, name, s.cfg.Mode),
 		name:     name,
 		store:    staging.NewStore(s.m, node, name, "staging", 0, 0),
-		pinned:   make(map[staging.Key][]*rdma.Region),
-		keyBytes: make(map[staging.Key]int64),
+		held:     make(map[staging.Key]*heldVersion),
 		versions: make(map[string][]int),
 	}
 	lib := ClientBaseBytes + int64(ClientBufFactor*float64(perStepBytes))
@@ -246,15 +265,17 @@ func (c *Client) Put(p *sim.Proc, varName string, version int, blk ndarray.Block
 		}
 		return err
 	}
+	h := c.held[key]
+	if h == nil {
+		h = &heldVersion{}
+		c.held[key] = h
+		c.versions[varName] = append(c.versions[varName], version)
+	}
 	if reg != nil {
-		c.pinned[key] = append(c.pinned[key], reg)
+		h.pinned = append(h.pinned, reg)
 	}
 	c.addPinBytes(blk.Bytes())
-	if c.keyBytes[key] == 0 {
-		vs := c.versions[varName]
-		c.versions[varName] = append(vs, version)
-	}
-	c.keyBytes[key] += blk.Bytes()
+	h.bytes += blk.Bytes()
 	// Metadata update to the version's server.
 	srv := c.sys.metaFor(key)
 	if err := c.ep.Send(p, srv.EP, metaMsgBytes, transport.SendOpts{}); err != nil {
@@ -264,7 +285,16 @@ func (c *Client) Put(p *sim.Proc, varName string, version int, blk ndarray.Block
 		return err
 	}
 	c.sys.addEntries(srv, 1)
-	c.sys.owners[key] = append(c.sys.owners[key], ownerEntry{box: blk.Box.Clone(), client: c})
+	set := c.sys.owners[key]
+	if set == nil {
+		set = &ownerSet{}
+		c.sys.owners[key] = set
+	}
+	set.add(blk.Box, c)
+	if !h.owner {
+		h.owner = true
+		set.holders++
+	}
 	return nil
 }
 
@@ -283,15 +313,30 @@ func (c *Client) evict(varName string, version int) {
 			continue
 		}
 		key := staging.Key{Var: varName, Version: v}
-		for _, reg := range c.pinned[key] {
-			reg.Deregister()
-		}
-		delete(c.pinned, key)
-		c.addPinBytes(-c.keyBytes[key])
-		delete(c.keyBytes, key)
+		c.addPinBytes(-c.release(key))
 		c.store.DropVersion(key)
 	}
 	c.versions[varName] = keep
+}
+
+// release deregisters the client's pinned regions of key and withdraws
+// it from the key's holders, dropping the owner set once nobody holds
+// the version. It returns the bytes the client held of key.
+func (c *Client) release(key staging.Key) int64 {
+	h := c.held[key]
+	if h == nil {
+		return 0
+	}
+	for _, reg := range h.pinned {
+		reg.Deregister()
+	}
+	delete(c.held, key)
+	if set := c.sys.owners[key]; h.owner && set != nil {
+		if set.holders--; set.holders == 0 {
+			delete(c.sys.owners, key)
+		}
+	}
+	return h.bytes
 }
 
 // Commit releases the version for readers.
@@ -320,15 +365,17 @@ func (c *Client) Get(p *sim.Proc, varName string, version int, box ndarray.Box) 
 	if err := srv.EP.Send(p, c.ep, metaMsgBytes, transport.SendOpts{}); err != nil {
 		return ndarray.Block{}, err
 	}
+	set := c.sys.owners[key]
+	if set == nil {
+		return ndarray.Block{}, fmt.Errorf("dimes get %s v%d: %w: no writer holds it", varName, version, staging.ErrNotFound)
+	}
 	var parts []ndarray.Block
-	for _, owner := range c.sys.owners[key] {
-		if !owner.box.Overlaps(box) {
-			continue
-		}
+	for _, i := range set.index.Overlapping(box, nil) {
+		owner := set.clients[i]
 		var blocks []ndarray.Block
 		err := c.sys.m.Retry.Do(p, "dimes/get", func() error {
 			var err error
-			blocks, err = owner.client.store.Query(key, box)
+			blocks, err = owner.store.Query(key, box)
 			return err
 		})
 		if err != nil {
@@ -338,7 +385,7 @@ func (c *Client) Get(p *sim.Proc, varName string, version int, box ndarray.Box) 
 		for _, b := range blocks {
 			bytes += b.Bytes()
 		}
-		if err := owner.client.ep.Send(p, c.ep, bytes, transport.SendOpts{SrcRegistered: true}); err != nil {
+		if err := owner.ep.Send(p, c.ep, bytes, transport.SendOpts{SrcRegistered: true}); err != nil {
 			return ndarray.Block{}, fmt.Errorf("dimes get %s v%d: %w", varName, version, err)
 		}
 		parts = append(parts, blocks...)
@@ -353,12 +400,12 @@ func (c *Client) Get(p *sim.Proc, varName string, version int, box ndarray.Box) 
 // PinnedBytes returns the bytes currently pinned in the RDMA pool.
 func (c *Client) PinnedBytes() int64 { return c.pinBytes }
 
-// Close releases everything the client holds. Pinned regions drop in
-// sorted key order, not map order: Deregister can unblock registration
-// waiters, so iteration order is event order.
+// Close releases everything the client holds. Versions drop in sorted
+// key order, not map order: Deregister can unblock registration waiters,
+// so iteration order is event order.
 func (c *Client) Close() {
-	keys := make([]staging.Key, 0, len(c.pinned))
-	for key := range c.pinned {
+	keys := make([]staging.Key, 0, len(c.held))
+	for key := range c.held {
 		keys = append(keys, key)
 	}
 	sort.Slice(keys, func(a, b int) bool {
@@ -368,11 +415,9 @@ func (c *Client) Close() {
 		return keys[a].Version < keys[b].Version
 	})
 	for _, key := range keys {
-		for _, reg := range c.pinned[key] {
-			reg.Deregister()
-		}
-		delete(c.pinned, key)
+		c.release(key)
 	}
+	clear(c.versions)
 	c.addPinBytes(-c.pinBytes)
 	c.store.Close()
 	c.ep.Close()

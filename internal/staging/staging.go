@@ -67,9 +67,9 @@ type storeCounters struct {
 // dimension's lower bound so queries bisect instead of scanning. Mixed
 // layouts (e.g. a server owning two staging regions, whose blocks differ
 // along both the writer dimension and the region dimension) keep the
-// blocks in insertion order and instead bisect a lazily built per-
-// dimension permutation index, scanning only the narrowest candidate
-// window.
+// blocks in insertion order and look them up through an
+// ndarray.BoxIndex, which returns the same subset in the same order as a
+// linear scan.
 type blockSet struct {
 	blocks []ndarray.Block
 	// dim is the discriminating dimension; -1 means mixed layout,
@@ -84,14 +84,8 @@ type blockSet struct {
 	// without assuming the blocks tile — overlapping same-Lo blocks
 	// with different extents are still found.
 	maxW uint64
-
-	// Mixed-layout index: byDim[d] is the block indices ordered by
-	// Lo[d], and dimMaxW[d] the widest extent along d. Built lazily at
-	// the first query after an add; queries bisect every dimension and
-	// scan the smallest window in insertion order, so results are
-	// identical (same subset, same order) to the former linear scan.
-	byDim   [][]int32
-	dimMaxW []uint64
+	// mixed indexes blocks by position once the layout is mixed.
+	mixed *ndarray.BoxIndex
 }
 
 func newBlockSet() *blockSet { return &blockSet{dim: -2} }
@@ -132,13 +126,32 @@ func (bs *blockSet) add(blk ndarray.Block) {
 	}
 	bs.blocks = append(bs.blocks, blk)
 	bs.sorted = false
+	if bs.dim != -1 {
+		return
+	}
+	if bs.mixed == nil {
+		// The layout just turned mixed: index the blocks in their
+		// current order, which the index then preserves.
+		bs.mixed = &ndarray.BoxIndex{}
+		for _, b := range bs.blocks {
+			bs.mixed.Add(b.Box)
+		}
+		return
+	}
+	bs.mixed.Add(blk.Box)
 }
 
-// query appends the sub-blocks of bs intersecting box to out.
+// query returns the sub-blocks of bs intersecting box.
 func (bs *blockSet) query(box ndarray.Box) ([]ndarray.Block, error) {
-	var out []ndarray.Block
 	if bs.dim == -1 {
-		return bs.queryMixed(box)
+		var out []ndarray.Block
+		for _, i := range bs.mixed.Overlapping(box, nil) {
+			var err error
+			if out, err = appendSub(out, bs.blocks[i], box); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	}
 	lo, hi := 0, len(bs.blocks)
 	if bs.dim >= 0 {
@@ -168,98 +181,27 @@ func (bs *blockSet) query(box ndarray.Box) ([]ndarray.Block, error) {
 			return bs.blocks[k].Box.Lo[d] >= box.Hi[d]
 		})
 	}
+	var out []ndarray.Block
 	for _, blk := range bs.blocks[lo:hi] {
 		if !blk.Box.Overlaps(box) {
 			continue
 		}
-		overlap, _ := blk.Box.Intersect(box)
-		sub, err := blk.Sub(overlap)
-		if err != nil {
+		var err error
+		if out, err = appendSub(out, blk, box); err != nil {
 			return nil, err
 		}
-		out = append(out, sub)
 	}
 	return out, nil
 }
 
-// queryMixed serves mixed-layout sets: bisect the per-dimension indexes,
-// take the narrowest candidate window, and emit survivors in insertion
-// order — exactly the subset and order a full linear scan would produce.
-func (bs *blockSet) queryMixed(box ndarray.Box) ([]ndarray.Block, error) {
-	if !bs.sorted {
-		nd := len(box.Lo)
-		if len(bs.blocks) > 0 {
-			nd = len(bs.blocks[0].Box.Lo)
-		}
-		if cap(bs.byDim) < nd {
-			bs.byDim = make([][]int32, nd)
-			bs.dimMaxW = make([]uint64, nd)
-		}
-		bs.byDim = bs.byDim[:nd]
-		bs.dimMaxW = bs.dimMaxW[:nd]
-		for d := 0; d < nd; d++ {
-			idx := bs.byDim[d][:0]
-			for i := range bs.blocks {
-				idx = append(idx, int32(i))
-			}
-			blocks := bs.blocks
-			sort.SliceStable(idx, func(a, b int) bool {
-				return blocks[idx[a]].Box.Lo[d] < blocks[idx[b]].Box.Lo[d]
-			})
-			bs.byDim[d] = idx
-			bs.dimMaxW[d] = 0
-			for _, blk := range bs.blocks {
-				if w := blk.Box.Hi[d] - blk.Box.Lo[d]; w > bs.dimMaxW[d] {
-					bs.dimMaxW[d] = w
-				}
-			}
-		}
-		bs.sorted = true
+// appendSub appends the part of blk inside box, which must overlap it.
+func appendSub(out []ndarray.Block, blk ndarray.Block, box ndarray.Box) ([]ndarray.Block, error) {
+	overlap, _ := blk.Box.Intersect(box)
+	sub, err := blk.Sub(overlap)
+	if err != nil {
+		return nil, err
 	}
-	// Pick the dimension whose candidate window is smallest.
-	bestD, bestLo, bestHi := -1, 0, len(bs.blocks)
-	for d := range bs.byDim {
-		if d >= len(box.Lo) {
-			break
-		}
-		idx := bs.byDim[d]
-		minLo := uint64(0)
-		if box.Lo[d] > bs.dimMaxW[d] {
-			minLo = box.Lo[d] - bs.dimMaxW[d]
-		}
-		lo := sort.Search(len(idx), func(k int) bool {
-			return bs.blocks[idx[k]].Box.Lo[d] >= minLo
-		})
-		hi := sort.Search(len(idx), func(k int) bool {
-			return bs.blocks[idx[k]].Box.Lo[d] >= box.Hi[d]
-		})
-		if bestD < 0 || hi-lo < bestHi-bestLo {
-			bestD, bestLo, bestHi = d, lo, hi
-		}
-	}
-	var cand []int32
-	if bestD < 0 {
-		for i := range bs.blocks {
-			cand = append(cand, int32(i))
-		}
-	} else {
-		cand = append(cand, bs.byDim[bestD][bestLo:bestHi]...)
-		sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
-	}
-	var out []ndarray.Block
-	for _, i := range cand {
-		blk := bs.blocks[i]
-		if !blk.Box.Overlaps(box) {
-			continue
-		}
-		overlap, _ := blk.Box.Intersect(box)
-		sub, err := blk.Sub(overlap)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sub)
-	}
-	return out, nil
+	return append(out, sub), nil
 }
 
 // NewStore creates a store for the named component on node. maxVersions
