@@ -72,9 +72,10 @@ bench:
 	IMC_SCALE_BENCH=$${IMC_SCALE_BENCH:-1} $(GO) test -run TestScaleBench -count=1 -timeout 60m -v .
 
 # microbench runs the per-figure testing.B benchmarks in quick mode,
-# and the DIMES Get benchmark at 339 and 6810 writers.
+# the DIMES Get benchmark at 339 and 6810 writers, and the telemetry
+# encoders (metrics JSON/CSV and Perfetto trace JSON) on one fixed run.
 microbench:
-	$(GO) test -bench . -benchtime 2x -run '^$$' . ./internal/dimes
+	$(GO) test -bench . -benchtime 2x -run '^$$' . ./internal/dimes ./internal/workflow
 
 # fuzz discovers every native fuzzer in the tree (`go test -list`) and
 # gives each FUZZTIME of shaking; saved crashers in testdata/fuzz replay

@@ -19,13 +19,23 @@
 //     values; EncodeJSON and EncodeCSV emit them in sorted order so the
 //     encoded reports are byte-identical as well.
 //
+//   - Streaming encoding with a byte-for-byte contract. EncodeJSON
+//     writes exactly what json.MarshalIndent of the registry's Snapshot
+//     wrote, but appends it straight from the instruments into one
+//     buffer. Numbers and strings go through AppendJSONFloat and
+//     AppendJSONString, which reproduce encoding/json and are shared
+//     with the Chrome trace exporter in internal/trace. The reflective
+//     encoders survive only as test oracles: TestEncodersMatchOracle in
+//     internal/workflow compares both encoders with them on real runs,
+//     and FuzzJSONAppendMatchesEncodingJSON compares the appenders with
+//     json.Marshal.
+//
 // The package deliberately imports nothing from the rest of the testbed
 // (virtual time is a plain float64), so every layer — sim, hpc,
 // transport, mpi, the staging models, memprof — can record into it.
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -197,6 +207,16 @@ func (s *Series) Samples() []Sample {
 	return out
 }
 
+// View returns the series' samples without copying them, for encoders
+// that only read. The caller must not modify the slice; it stays valid
+// until the next Append.
+func (s *Series) View() []Sample {
+	if s == nil {
+		return nil
+	}
+	return s.samples
+}
+
 // Len returns the number of samples.
 func (s *Series) Len() int {
 	if s == nil {
@@ -359,8 +379,9 @@ type Snapshot struct {
 	Series     map[string][]Sample `json:"series"`
 }
 
-// Snapshot captures the current state. The maps encode deterministically:
-// encoding/json sorts map keys.
+// Snapshot captures the current state for readers such as imcreport's
+// summary. No encoder uses it; json.MarshalIndent of a Snapshot is the
+// specification EncodeJSON is held to.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
 		Counters:   map[string]float64{},
@@ -379,67 +400,208 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		snap.Gauges[name] = gaugeOut{Value: g.v, Peak: g.peak}
 	}
-	//imclint:deterministic -- per-key pure copy into a map; Mean reads only the histogram and encoders emit keys sorted
+	//imclint:deterministic -- per-key pure copy into a map; Mean reads only the histogram
 	for name, h := range r.histograms {
 		snap.Histograms[name] = histOut{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Mean: h.Mean()}
 	}
-	//imclint:deterministic -- per-key pure copy into a map; Samples reads only the series and encoders emit keys sorted
+	//imclint:deterministic -- per-key pure copy into a map; Samples reads only the series
 	for name, s := range r.series {
 		snap.Series[name] = s.Samples()
 	}
 	return snap
 }
 
-// EncodeJSON renders the registry as indented JSON. Two runs of the same
-// deterministic simulation produce byte-identical output.
+// EncodeJSON renders the registry as indented JSON, sorted by name, so
+// two runs of the same deterministic simulation produce byte-identical
+// output. The bytes are exactly those of json.MarshalIndent(r.Snapshot(),
+// "", "  ") plus a trailing newline; the encoder appends them straight
+// from the instruments into one buffer sized from the sample count
+// instead of building the Snapshot (TestEncodersMatchOracle in
+// internal/workflow enforces the equality). A NaN or infinite value
+// returns an error and no output, as encoding/json does.
 func (r *Registry) EncodeJSON() ([]byte, error) {
-	buf, err := json.MarshalIndent(r.Snapshot(), "", "  ")
+	if r == nil {
+		r = new(Registry)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	instruments, samples := r.counts()
+	b := make([]byte, 0, 128+instruments*jsonInstrumentBytes+samples*jsonSampleBytes)
+	var err error
+	num := func(v float64) {
+		if err == nil {
+			b, err = AppendJSONFloat(b, v)
+		}
+	}
+
+	b = append(b, '{')
+	b = appendKey(b, 1, 0, "counters")
+	b = append(b, '{')
+	for i, name := range sortedKeys(r.counters) {
+		b = appendKey(b, 2, i, name)
+		num(r.counters[name].v)
+	}
+	b = appendClose(b, 1, len(r.counters), '}')
+
+	b = appendKey(b, 1, 1, "gauges")
+	b = append(b, '{')
+	for i, name := range sortedKeys(r.gauges) {
+		g := r.gauges[name]
+		b = appendKey(b, 2, i, name)
+		b = append(b, '{')
+		b = appendKey(b, 3, 0, "value")
+		num(g.v)
+		b = appendKey(b, 3, 1, "peak")
+		num(g.peak)
+		b = appendClose(b, 2, 2, '}')
+	}
+	b = appendClose(b, 1, len(r.gauges), '}')
+
+	b = appendKey(b, 1, 2, "histograms")
+	b = append(b, '{')
+	for i, name := range sortedKeys(r.histograms) {
+		h := r.histograms[name]
+		b = appendKey(b, 2, i, name)
+		b = append(b, '{')
+		b = appendKey(b, 3, 0, "count")
+		b = strconv.AppendInt(b, h.count, 10)
+		b = appendKey(b, 3, 1, "sum")
+		num(h.sum)
+		b = appendKey(b, 3, 2, "min")
+		num(h.min)
+		b = appendKey(b, 3, 3, "max")
+		num(h.max)
+		b = appendKey(b, 3, 4, "mean")
+		num(h.Mean())
+		b = appendClose(b, 2, 5, '}')
+	}
+	b = appendClose(b, 1, len(r.histograms), '}')
+
+	b = appendKey(b, 1, 3, "series")
+	b = append(b, '{')
+	for i, name := range sortedKeys(r.series) {
+		b = appendKey(b, 2, i, name)
+		b = append(b, '[')
+		points := r.series[name].samples
+		for j, s := range points {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n      {\n        \"t\": "...)
+			num(s.T)
+			b = append(b, ",\n        \"v\": "...)
+			num(s.V)
+			b = append(b, "\n      }"...)
+		}
+		b = appendClose(b, 2, len(points), ']')
+	}
+	b = appendClose(b, 1, len(r.series), '}')
+	b = append(b, "\n}\n"...)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: %w", err)
 	}
-	return append(buf, '\n'), nil
+	return b, nil
+}
+
+// counts returns how many named instruments and series samples the
+// registry holds, for sizing the encoders' buffers. The caller holds
+// r.mu.
+func (r *Registry) counts() (instruments, samples int) {
+	for _, s := range r.series {
+		samples += len(s.samples)
+	}
+	return len(r.counters) + len(r.gauges) + len(r.histograms) + len(r.series), samples
+}
+
+// Output size estimates for EncodeJSON's single allocation: an indented
+// sample object with two full-precision floats, and a named instrument
+// with its fields. Under-estimates only cost one buffer growth.
+const (
+	jsonSampleBytes     = 72
+	jsonInstrumentBytes = 160
+)
+
+// jsonIndent holds the indentation of every depth EncodeJSON writes.
+const jsonIndent = "\n          "
+
+// appendKey starts entry i of an indented object at depth: the comma
+// after the previous entry, the newline and indent, then `"name": `.
+func appendKey(b []byte, depth, i int, name string) []byte {
+	if i > 0 {
+		b = append(b, ',')
+	}
+	b = append(b, jsonIndent[:1+2*depth]...)
+	b = AppendJSONString(b, name)
+	return append(b, ": "...)
+}
+
+// appendClose ends an indented object or array at depth that held n
+// entries; an empty one closes on the same line, as json.Indent does.
+func appendClose(b []byte, depth, n int, c byte) []byte {
+	if n > 0 {
+		b = append(b, jsonIndent[:1+2*depth]...)
+	}
+	return append(b, c)
 }
 
 // EncodeCSV renders the registry as `kind,name,field,value` rows, sorted
 // by (kind, name, field); series samples become one row per point in
 // time order. Byte-identical across runs of the same configuration.
 func (r *Registry) EncodeCSV() []byte {
-	snap := r.Snapshot()
-	var b strings.Builder
-	b.WriteString("kind,name,field,value\n")
+	if r == nil {
+		r = new(Registry)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	instruments, samples := r.counts()
+	b := make([]byte, 0, 32+instruments*csvInstrumentBytes+samples*csvSampleBytes)
+	b = append(b, "kind,name,field,value\n"...)
 	row := func(kind, name, field string, v float64) {
-		b.WriteString(kind)
-		b.WriteByte(',')
-		b.WriteString(csvEscape(name))
-		b.WriteByte(',')
-		b.WriteString(field)
-		b.WriteByte(',')
-		b.WriteString(formatFloat(v))
-		b.WriteByte('\n')
+		b = append(b, kind...)
+		b = append(b, ',')
+		b = appendCSVField(b, name)
+		b = append(b, ',')
+		b = append(b, field...)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		b = append(b, '\n')
 	}
-	for _, name := range sortedKeys(snap.Counters) {
-		row("counter", name, "value", snap.Counters[name])
+	for _, name := range sortedKeys(r.counters) {
+		row("counter", name, "value", r.counters[name].v)
 	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		g := snap.Gauges[name]
-		row("gauge", name, "value", g.Value)
-		row("gauge", name, "peak", g.Peak)
+	for _, name := range sortedKeys(r.gauges) {
+		g := r.gauges[name]
+		row("gauge", name, "value", g.v)
+		row("gauge", name, "peak", g.peak)
 	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[name]
-		row("histogram", name, "count", float64(h.Count))
-		row("histogram", name, "sum", h.Sum)
-		row("histogram", name, "min", h.Min)
-		row("histogram", name, "max", h.Max)
-		row("histogram", name, "mean", h.Mean)
+	for _, name := range sortedKeys(r.histograms) {
+		h := r.histograms[name]
+		row("histogram", name, "count", float64(h.count))
+		row("histogram", name, "sum", h.sum)
+		row("histogram", name, "min", h.min)
+		row("histogram", name, "max", h.max)
+		row("histogram", name, "mean", h.Mean())
 	}
-	for _, name := range sortedKeys(snap.Series) {
-		for _, s := range snap.Series[name] {
-			row("series", name, formatFloat(s.T), s.V)
+	for _, name := range sortedKeys(r.series) {
+		prefix := appendCSVField([]byte("series,"), name)
+		for _, s := range r.series[name].samples {
+			b = append(b, prefix...)
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, s.T, 'g', -1, 64)
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, s.V, 'g', -1, 64)
+			b = append(b, '\n')
 		}
 	}
-	return []byte(b.String())
+	return b
 }
+
+// Output size estimates for EncodeCSV's single allocation: one series
+// row, and the rows of a named instrument.
+const (
+	csvSampleBytes     = 64
+	csvInstrumentBytes = 96
+)
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
@@ -450,15 +612,13 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// csvEscape guards metric names containing commas or quotes (none of the
-// testbed's do, but reports must stay parseable regardless).
-func csvEscape(s string) string {
+// appendCSVField guards metric names containing commas or quotes (none
+// of the testbed's do, but reports must stay parseable regardless).
+func appendCSVField(b []byte, s string) []byte {
 	if !strings.ContainsAny(s, ",\"\n") {
-		return s
+		return append(b, s...)
 	}
-	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+	b = append(b, '"')
+	b = append(b, strings.ReplaceAll(s, `"`, `""`)...)
+	return append(b, '"')
 }

@@ -7,10 +7,11 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 
+	"github.com/imcstudy/imcstudy/internal/metrics"
 	"github.com/imcstudy/imcstudy/internal/sim"
 )
 
@@ -121,17 +122,13 @@ func (r *Recorder) TotalBy(name string) sim.Time {
 	return total
 }
 
-// CounterSample is one point of a counter track.
-type CounterSample struct {
-	T sim.Time
-	V float64
-}
-
 // CounterTrack is a named time-series rendered as a Perfetto counter
-// track ("C" events) alongside the span timeline.
+// track ("C" events) alongside the span timeline. Samples may be a
+// registry series' own slice (metrics.Series.View); the exporter only
+// reads it.
 type CounterTrack struct {
 	Name    string
-	Samples []CounterSample
+	Samples []metrics.Sample
 }
 
 // ExportOptions selects the extra event kinds ChromeTraceJSONWith emits
@@ -141,120 +138,135 @@ type ExportOptions struct {
 	Counters []CounterTrack
 }
 
-// chromeEvent is one Chrome trace-event ("X" = complete event).
-type chromeEvent struct {
-	Name  string            `json:"name"`
-	Phase string            `json:"ph"`
-	TS    float64           `json:"ts"`  // microseconds
-	Dur   float64           `json:"dur"` // microseconds
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Args  map[string]string `json:"args,omitempty"`
-}
-
-// chromeMeta names a thread in the trace viewer.
-type chromeMeta struct {
-	Name  string            `json:"name"`
-	Phase string            `json:"ph"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Args  map[string]string `json:"args"`
-}
-
-// chromeCounter is one "C" counter event; the viewer draws one counter
-// track per name.
-type chromeCounter struct {
-	Name  string             `json:"name"`
-	Phase string             `json:"ph"`
-	TS    float64            `json:"ts"`
-	PID   int                `json:"pid"`
-	Args  map[string]float64 `json:"args"`
-}
-
-// chromeFlow is one legacy flow event: "s" starts an arrow, "f" with
-// bp:"e" finishes it bound to the enclosing slice. cat+name+id must match
-// across the pair.
-type chromeFlow struct {
-	Name  string  `json:"name"`
-	Cat   string  `json:"cat"`
-	Phase string  `json:"ph"`
-	ID    uint64  `json:"id"`
-	TS    float64 `json:"ts"`
-	PID   int     `json:"pid"`
-	TID   int     `json:"tid"`
-	BP    string  `json:"bp,omitempty"`
-}
-
 // ChromeTraceJSON renders the spans as a Chrome trace-event array: one
 // "thread" per component, virtual seconds mapped to microseconds.
 func (r *Recorder) ChromeTraceJSON() ([]byte, error) {
 	return r.ChromeTraceJSONWith(ExportOptions{})
 }
 
+// Output size estimates for ChromeTraceJSONWith's single allocation:
+// a complete ("X") span event with its args, a flow event, and a
+// counter ("C") event without its track name. Under-estimates only cost
+// one buffer growth.
+const (
+	chromeSpanBytes    = 128
+	chromeFlowBytes    = 112
+	chromeCounterBytes = 84
+)
+
 // ChromeTraceJSONWith renders spans, flow arrows, and the counter tracks
-// in opts as one Chrome trace-event array. Output is deterministic:
+// in opts as one Chrome trace-event array, compact, with each thread's
+// "M" name event placed before its first use. Output is deterministic:
 // spans sort by start time, flow points by (id, end), counter tracks
-// keep the caller's order.
+// keep the caller's order. The bytes are exactly those json.Marshal
+// wrote for the same events as a []any of structs (an empty trace is
+// `null`, and a span without args has no "args" key): numbers and
+// strings go through metrics.AppendJSONFloat and
+// metrics.AppendJSONString, and TestEncodersMatchOracle in
+// internal/workflow enforces the equality. A NaN or infinite value
+// returns an error and no output.
 func (r *Recorder) ChromeTraceJSONWith(opts ExportOptions) ([]byte, error) {
-	spans := r.Spans()
+	spans, flows := r.Spans(), r.Flows()
+	size := len(spans)*chromeSpanBytes + len(flows)*chromeFlowBytes
+	for _, track := range opts.Counters {
+		size += len(track.Samples) * (chromeCounterBytes + len(track.Name))
+	}
+	if size == 0 {
+		return []byte("null"), nil
+	}
+	b := make([]byte, 1, 1+size)
+	b[0] = '['
+	var err error
+	num := func(v float64) {
+		if err == nil {
+			b, err = metrics.AppendJSONFloat(b, v)
+		}
+	}
+	// open starts the next event of the array.
+	open := func(head string) {
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(b, head...)
+	}
 	tids := make(map[string]int)
-	var events []any
 	tidOf := func(component string) int {
 		tid, ok := tids[component]
 		if !ok {
 			tid = len(tids) + 1
 			tids[component] = tid
-			events = append(events, chromeMeta{
-				Name:  "thread_name",
-				Phase: "M",
-				PID:   1,
-				TID:   tid,
-				Args:  map[string]string{"name": component},
-			})
+			open(`{"name":"thread_name","ph":"M","pid":1,"tid":`)
+			b = strconv.AppendInt(b, int64(tid), 10)
+			b = append(b, `,"args":{"name":`...)
+			b = metrics.AppendJSONString(b, component)
+			b = append(b, "}}"...)
 		}
 		return tid
 	}
+	// Complete ("X") events; ts and dur are in microseconds.
+	var keys []string
 	for _, s := range spans {
-		events = append(events, chromeEvent{
-			Name:  s.Name,
-			Phase: "X",
-			TS:    s.Start * 1e6,
-			Dur:   s.Duration() * 1e6,
-			PID:   1,
-			TID:   tidOf(s.Component),
-			Args:  s.Args,
-		})
+		tid := tidOf(s.Component)
+		open(`{"name":`)
+		b = metrics.AppendJSONString(b, s.Name)
+		b = append(b, `,"ph":"X","ts":`...)
+		num(s.Start * 1e6)
+		b = append(b, `,"dur":`...)
+		num(s.Duration() * 1e6)
+		b = append(b, `,"pid":1,"tid":`...)
+		b = strconv.AppendInt(b, int64(tid), 10)
+		if len(s.Args) > 0 {
+			keys = keys[:0]
+			for k := range s.Args {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			b = append(b, `,"args":{`...)
+			for i, k := range keys {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = metrics.AppendJSONString(b, k)
+				b = append(b, ':')
+				b = metrics.AppendJSONString(b, s.Args[k])
+			}
+			b = append(b, '}')
+		}
+		b = append(b, '}')
 	}
-	for _, f := range r.Flows() {
-		ev := chromeFlow{
-			Name:  "dataflow",
-			Cat:   "dataflow",
-			Phase: "s",
-			ID:    f.ID,
-			TS:    f.T * 1e6,
-			PID:   1,
-			TID:   tidOf(f.Component),
-		}
+	// Legacy flow events: "s" starts an arrow, "f" with bp:"e" finishes
+	// it bound to the enclosing slice; cat+name+id match across the pair.
+	for _, f := range flows {
+		tid := tidOf(f.Component)
 		if f.End {
-			ev.Phase = "f"
-			ev.BP = "e"
+			open(`{"name":"dataflow","cat":"dataflow","ph":"f","id":`)
+		} else {
+			open(`{"name":"dataflow","cat":"dataflow","ph":"s","id":`)
 		}
-		events = append(events, ev)
+		b = strconv.AppendUint(b, f.ID, 10)
+		b = append(b, `,"ts":`...)
+		num(f.T * 1e6)
+		b = append(b, `,"pid":1,"tid":`...)
+		b = strconv.AppendInt(b, int64(tid), 10)
+		if f.End {
+			b = append(b, `,"bp":"e"`...)
+		}
+		b = append(b, '}')
 	}
 	for _, track := range opts.Counters {
+		name := metrics.AppendJSONString(nil, track.Name)
 		for _, s := range track.Samples {
-			events = append(events, chromeCounter{
-				Name:  track.Name,
-				Phase: "C",
-				TS:    s.T * 1e6,
-				PID:   1,
-				Args:  map[string]float64{"value": s.V},
-			})
+			open(`{"name":`)
+			b = append(b, name...)
+			b = append(b, `,"ph":"C","ts":`...)
+			num(s.T * 1e6)
+			b = append(b, `,"pid":1,"args":{"value":`...)
+			num(s.V)
+			b = append(b, "}}"...)
 		}
 	}
-	buf, err := json.Marshal(events)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	return buf, nil
+	return append(b, ']'), nil
 }

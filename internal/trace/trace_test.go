@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"github.com/imcstudy/imcstudy/internal/metrics"
 )
 
 func TestRecorderSpansSorted(t *testing.T) {
@@ -88,7 +90,7 @@ func TestChromeTraceJSONWithCountersAndFlows(t *testing.T) {
 	buf, err := r.ChromeTraceJSONWith(ExportOptions{
 		Counters: []CounterTrack{{
 			Name:    "nic/server-0/in",
-			Samples: []CounterSample{{T: 0, V: 0.5}, {T: 1, V: 0.9}},
+			Samples: []metrics.Sample{{T: 0, V: 0.5}, {T: 1, V: 0.9}},
 		}},
 	})
 	if err != nil {

@@ -260,19 +260,19 @@ type Result struct {
 // When the run was profiled, two simulator-health tracks are added:
 // sim/queue_depth (scheduler event-queue depth) and sim/event_density
 // (simulator events executed per virtual second).
+//
+// The registry's sample slices are handed to the exporter uncopied, and
+// the exporter appends every event straight into one buffer. The bytes
+// are exactly those the earlier reflective encoder (every event boxed
+// into a []any, then json.Marshal) wrote; TestEncodersMatchOracle holds
+// both TraceJSON and Metrics.EncodeJSON to their reflective oracles.
 func (r *Result) TraceJSON() ([]byte, error) {
 	if r.Trace == nil {
 		return nil, errors.New("workflow: run had Config.Trace disabled")
 	}
 	var opts trace.ExportOptions
-	if r.Metrics != nil {
-		for _, name := range r.Metrics.SeriesNames() {
-			track := trace.CounterTrack{Name: name}
-			for _, s := range r.Metrics.Series(name).Samples() {
-				track.Samples = append(track.Samples, trace.CounterSample{T: s.T, V: s.V})
-			}
-			opts.Counters = append(opts.Counters, track)
-		}
+	for _, name := range r.Metrics.SeriesNames() {
+		opts.Counters = append(opts.Counters, trace.CounterTrack{Name: name, Samples: r.Metrics.Series(name).View()})
 	}
 	opts.Counters = append(opts.Counters, profileCounterTracks(r.Profile)...)
 	return r.Trace.ChromeTraceJSONWith(opts)
@@ -285,14 +285,15 @@ func profileCounterTracks(p *prof.Profile) []trace.CounterTrack {
 	if p == nil || len(p.Deterministic.QueueDepth) == 0 {
 		return nil
 	}
-	depth := trace.CounterTrack{Name: "sim/queue_depth"}
-	density := trace.CounterTrack{Name: "sim/event_density"}
+	n := len(p.Deterministic.QueueDepth)
+	depth := trace.CounterTrack{Name: "sim/queue_depth", Samples: make([]metrics.Sample, 0, n)}
+	density := trace.CounterTrack{Name: "sim/event_density", Samples: make([]metrics.Sample, 0, n)}
 	var prevT float64
 	var prevEvents int64
 	for _, s := range p.Deterministic.QueueDepth {
-		depth.Samples = append(depth.Samples, trace.CounterSample{T: s.T, V: float64(s.Depth)})
+		depth.Samples = append(depth.Samples, metrics.Sample{T: s.T, V: float64(s.Depth)})
 		if dt := s.T - prevT; dt > 0 {
-			density.Samples = append(density.Samples, trace.CounterSample{
+			density.Samples = append(density.Samples, metrics.Sample{
 				T: s.T, V: float64(s.Event-prevEvents) / dt,
 			})
 		}
@@ -300,6 +301,19 @@ func profileCounterTracks(p *prof.Profile) []trace.CounterTrack {
 	}
 	return []trace.CounterTrack{depth, density}
 }
+
+// activity is one span kind of the coupling loop; each has an
+// activity/<name>/{seconds,count} counter pair.
+type activity int
+
+const (
+	actCompute activity = iota
+	actPut
+	actGet
+	actAnalyze
+)
+
+var activityNames = [...]string{actCompute: "compute", actPut: "put", actGet: "get", actAnalyze: "analyze"}
 
 // Run executes one workflow configuration. Setup mistakes return an
 // error; runtime failures of the modelled systems (out of RDMA memory,
@@ -360,11 +374,20 @@ func run(cfg Config) (Result, error) {
 	reg := res.Metrics
 	// span records one activity interval in both outputs; the recorder and
 	// registry are nil-safe, so disabled telemetry costs only the calls.
-	span := func(comp, name string, t0, t1 sim.Time, args map[string]string) {
+	// Each activity's two counters are resolved on its first span, so an
+	// activity that never runs leaves no counters behind.
+	var actCounters [len(activityNames)]struct{ seconds, count *metrics.Counter }
+	span := func(comp string, act activity, t0, t1 sim.Time, args map[string]string) {
+		name := activityNames[act]
 		res.Trace.AddSpan(comp, name, t0, t1, args)
 		if reg != nil {
-			reg.Counter("activity/" + name + "/seconds").Add(t1 - t0)
-			reg.Counter("activity/" + name + "/count").Inc()
+			c := &actCounters[act]
+			if c.count == nil {
+				c.seconds = reg.Counter("activity/" + name + "/seconds")
+				c.count = reg.Counter("activity/" + name + "/count")
+			}
+			c.seconds.Add(t1 - t0)
+			c.count.Inc()
 		}
 	}
 	// stepArgs labels a traced span; nil when tracing is off so the hot
@@ -461,7 +484,7 @@ func run(cfg Config) (Result, error) {
 					if err := m.Compute(p, d.simSeconds(i)); err != nil {
 						return err
 					}
-					span(comp, "compute", tc, p.Now(), stepArgs(s, 0))
+					span(comp, actCompute, tc, p.Now(), stepArgs(s, 0))
 					if !row.couples {
 						continue
 					}
@@ -483,7 +506,7 @@ func run(cfg Config) (Result, error) {
 					}
 					c.commit(i, s)
 					putTimes[i] += p.Now() - t0
-					span(comp, "put", t0, p.Now(), stepArgs(s, blk.Bytes()))
+					span(comp, actPut, t0, p.Now(), stepArgs(s, blk.Bytes()))
 					// The flow start sits at the put's end so Perfetto binds
 					// the arrow tail to the put slice.
 					res.Trace.FlowStart(flowID(s, i), comp, p.Now())
@@ -516,7 +539,7 @@ func run(cfg Config) (Result, error) {
 							return err
 						}
 						getTimes[r] += p.Now() - t0
-						span(comp, "get", t0, p.Now(), stepArgs(s, blk.Bytes()))
+						span(comp, actGet, t0, p.Now(), stepArgs(s, blk.Bytes()))
 						if res.Trace != nil {
 							// Close the dataflow arrows from every writer this
 							// reader covers (the inverse of readerWriterSpan).
@@ -529,7 +552,7 @@ func run(cfg Config) (Result, error) {
 						if err := m.Compute(p, d.anaSeconds(r)); err != nil {
 							return err
 						}
-						span(comp, "analyze", tc, p.Now(), stepArgs(s, 0))
+						span(comp, actAnalyze, tc, p.Now(), stepArgs(s, 0))
 						// Verify against the version actually delivered: a
 						// rolled-back read consumes an older durable version.
 						if err := d.consume(r, got, blk); err != nil {
