@@ -14,8 +14,8 @@ LINT_OUT ?= imclint-report.json
 check: build vet lint lint-vet race fuzz prof-smoke chaos-smoke
 
 # lint runs the imclint determinism suite (eventorder, maprange,
-# metricsnil, nondetflow, profnil, sharedmut, walltime, stalewaiver —
-# see README "Static analysis") over the whole tree and writes the
+# metricsnil, nondetflow, profnil, sharedmut, stalewaiver — see README
+# "Static analysis") over the whole tree and writes the
 # machine-readable report ($(LINT_OUT), a sorted JSON array, [] when
 # clean) that CI uploads as an artifact; findings also print to stdout
 # and make the target exit non-zero.
@@ -62,12 +62,12 @@ prof-smoke:
 chaos-smoke:
 	$(GO) run ./cmd/imcbench chaos -smoke -out $(CHAOS_OUT)
 
-# bench runs the 1k/4k/10k-rank scale suite with fixed configurations,
-# rewrites BENCH_PR7.json (wall-clock numbers and self-profiler
-# annotations track the current tree) and fails if the modelled
-# virtual-time results or metrics digests drift from the committed
-# golden. IMC_SCALE_BENCH=update regenerates the golden after an
-# intended model change.
+# bench is the scale digest gate: it runs the 1k/4k/10k-rank matrix
+# with fixed configurations and the profiler off, and fails if any
+# modelled virtual time or metrics digest drifts from the committed
+# BENCH_PR7.json. It never writes the file; IMC_SCALE_BENCH=update
+# regenerates the golden after an intended model change. `make test`
+# runs the 1k row of the same gate; host performance is hostbench's.
 bench:
 	IMC_SCALE_BENCH=$${IMC_SCALE_BENCH:-1} $(GO) test -run TestScaleBench -count=1 -timeout 60m -v .
 

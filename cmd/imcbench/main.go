@@ -9,7 +9,7 @@
 //
 // Experiments: table1 table2 table3 table4 table5 fig2a fig2b fig3 fig4
 // fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 findings mitigations
-// ablations gpustudy resilience resilience-cost scale
+// ablations gpustudy resilience resilience-cost
 //
 // The -cpuprofile, -memprofile and -traceprofile flags wrap the selected
 // experiments in the Go runtime's profilers, for digging below the event
@@ -178,7 +178,6 @@ func registry(o imcstudy.ExperimentOptions) map[string]func() []*imcstudy.Result
 		"gpustudy":        one(imcstudy.GPUStudy),
 		"resilience":      one(imcstudy.Resilience),
 		"resilience-cost": one(imcstudy.ResilienceCost),
-		"scale":           one(imcstudy.ScaleSuite),
 	}
 }
 

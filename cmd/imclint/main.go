@@ -1,6 +1,6 @@
 // Command imclint runs the testbed's determinism analyzers (eventorder,
-// maprange, metricsnil, nondetflow, profnil, sharedmut, walltime,
-// stalewaiver — see internal/lint) over Go packages.
+// maprange, metricsnil, nondetflow, profnil, sharedmut, stalewaiver —
+// see internal/lint) over Go packages.
 //
 // Standalone (what `make lint` runs):
 //

@@ -60,8 +60,8 @@ func buildTool(t *testing.T) string {
 // writeLaunderModule materializes the canonical laundering scenario as
 // a standalone module: hostutil (outside modelled scope) wraps
 // time.Now, and a package whose path contains "staging" (modelled
-// scope) calls the wrapper. Intra-package this is the exact hole the
-// walltime analyzer cannot see; only the cross-package facts pass can.
+// scope) calls the wrapper. Intra-package this is the exact hole a
+// direct-call check cannot see; only the cross-package facts pass can.
 func writeLaunderModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()

@@ -9,10 +9,16 @@
 // simulator self-profiler and writes its run journal, which imcprof
 // reports on and diffs.
 //
+// It is also the layout explorer for the synthetic workflow (Table II,
+// third row): -layout picks the Figure 8 data layout, -transport the
+// wire, and -verify moves real data and checks every element, so a
+// planned coupling can be tried before a production run.
+//
 // Usage:
 //
 //	imcreport [-machine titan|cori] [-method <name>] [-workload lammps|laplace|synthetic]
 //	          [-sim N] [-ana N] [-steps N] [-servers N]
+//	          [-layout mismatch|matched] [-transport rdma|socket] [-verify]
 //	          [-fail-staging-at T] [-replication K] [-checkpoint-every N]
 //	          [-json metrics.json] [-csv metrics.csv] [-trace trace.json]
 //	          [-profile profile.json]
@@ -62,6 +68,9 @@ func run(args []string, w io.Writer) error {
 	replication := fs.Int("replication", 0, "replicate staged objects across k distinct-node servers (0/1 = off)")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "persist every Nth version to Lustre as a fallback (0 = off)")
 	servers := fs.Int("servers", 0, "staging servers (0 = method default; replication needs enough distinct server nodes)")
+	layout := fs.String("layout", "mismatch", "synthetic data layout: mismatch or matched (Figure 8)")
+	transportName := fs.String("transport", "rdma", "transport: rdma or socket")
+	verify := fs.Bool("verify", false, "move real data and verify every element (small scales)")
 	jsonOut := fs.String("json", "metrics.json", "metrics JSON output file (empty = skip)")
 	csvOut := fs.String("csv", "", "metrics CSV output file (empty = skip)")
 	traceOut := fs.String("trace", "trace.json", "Perfetto trace output file (empty = skip)")
@@ -84,6 +93,7 @@ func run(args []string, w io.Writer) error {
 		Servers:         *servers,
 		Replication:     *replication,
 		CheckpointEvery: *checkpointEvery,
+		Dense:           *verify,
 		Metrics:         true,
 		Trace:           *traceOut != "",
 		Profile:         *profileOut != "",
@@ -103,6 +113,22 @@ func run(args []string, w io.Writer) error {
 	cfg.Workload, ok = imcstudy.WorkloadByName(*workloadName)
 	if !ok {
 		return fmt.Errorf("unknown workload %q; known: %s", *workloadName, names(imcstudy.Workloads()))
+	}
+	switch strings.ToLower(*layout) {
+	case "mismatch":
+		cfg.SyntheticLayout = imcstudy.LayoutMismatch
+	case "matched":
+		cfg.SyntheticLayout = imcstudy.LayoutMatched
+	default:
+		return fmt.Errorf("unknown layout %q; known: mismatch, matched", *layout)
+	}
+	switch strings.ToLower(*transportName) {
+	case "rdma":
+		cfg.TransportMode = imcstudy.TransportRDMA
+	case "socket":
+		cfg.TransportMode = imcstudy.TransportSocket
+	default:
+		return fmt.Errorf("unknown transport %q; known: rdma, socket", *transportName)
 	}
 
 	res, err := imcstudy.Run(cfg)
@@ -190,6 +216,9 @@ func summarize(w io.Writer, res imcstudy.RunResult) {
 	}
 	fmt.Fprintf(w, "recorded %d counters, %d gauges, %d histograms, %d series\n",
 		len(snap.Counters), len(snap.Gauges), len(snap.Histograms), len(snap.Series))
+	if res.Config.Dense {
+		fmt.Fprintf(w, "data verified: %v\n", res.Verified)
+	}
 }
 
 // names joins the String() forms of a slice of named things.

@@ -299,10 +299,6 @@ var (
 	// (replication factor and checkpoint interval vs the unprotected
 	// baseline).
 	ResilienceCost = core.ResilienceCost
-	// ScaleSuite runs the O(10k)-rank scale matrix (simulator
-	// performance + deterministic virtual-time digests; see `make bench`
-	// and BENCH_PR4.json).
-	ScaleSuite = core.ScaleSuite
 )
 
 // StagingCrashAt returns a fault plan that crashes the method's first

@@ -167,15 +167,15 @@ func (c Campaign) runTrial(t trial) (out outcome) {
 // baseConfig is the method's fault-free, mitigation-free reference.
 func (c Campaign) baseConfig(m workflow.Method) workflow.Config {
 	return workflow.Config{
-		Machine:         c.Machine,
-		Method:          m,
-		Workload:        workflow.WorkloadSynthetic,
-		SimProcs:        c.SimProcs,
-		AnaProcs:        c.AnaProcs,
-		Steps:           c.Steps,
-		Servers:         c.Servers,
-		ServersPerNodeV: c.ServersPerNode,
-		StallHorizon:    c.StallHorizon,
+		Machine:        c.Machine,
+		Method:         m,
+		Workload:       workflow.WorkloadSynthetic,
+		SimProcs:       c.SimProcs,
+		AnaProcs:       c.AnaProcs,
+		Steps:          c.Steps,
+		Servers:        c.Servers,
+		ServersPerNode: c.ServersPerNode,
+		StallHorizon:   c.StallHorizon,
 	}
 }
 

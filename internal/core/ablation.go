@@ -104,7 +104,7 @@ func ablateServerPacking(o Options) *Table {
 		res, err := workflow.Run(workflow.Config{
 			Machine: hpc.Titan(), Method: workflow.MethodDataSpacesNative,
 			Workload: workflow.WorkloadLaplace, SimProcs: 64, AnaProcs: 32, Steps: o.steps(),
-			Servers: 8, ServersPerNodeV: d,
+			Servers: 8, ServersPerNode: d,
 		})
 		if err != nil || res.Failed {
 			t.AddRow(itoa(d), failCell(res.FailErr), "-")
@@ -134,7 +134,7 @@ func ablateQueueSize(o Options) *Table {
 		res, err := workflow.Run(workflow.Config{
 			Machine: hpc.Titan(), Method: workflow.MethodFlexpath,
 			Workload: workflow.WorkloadLAMMPS, SimProcs: 64, AnaProcs: 32, Steps: o.steps(),
-			QueueSizeV: q,
+			QueueSize: q,
 		})
 		if err != nil || res.Failed {
 			t.AddRow(itoa(q), "FAIL", "-")

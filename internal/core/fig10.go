@@ -43,14 +43,14 @@ func Fig10(o Options) []*Table {
 					servers = sc.Ana / 4 // the doubled-server mitigation (Fig 3)
 				}
 				res, err := workflow.Run(workflow.Config{
-					Machine:        hpc.Titan(),
-					Method:         se.method,
-					Workload:       wl,
-					SimProcs:       sc.Sim,
-					AnaProcs:       sc.Ana,
-					Steps:          o.steps(),
-					TransportModeV: se.mode,
-					Servers:        servers,
+					Machine:       hpc.Titan(),
+					Method:        se.method,
+					Workload:      wl,
+					SimProcs:      sc.Sim,
+					AnaProcs:      sc.Ana,
+					Steps:         o.steps(),
+					TransportMode: se.mode,
+					Servers:       servers,
 				})
 				switch {
 				case err != nil:

@@ -29,14 +29,14 @@ func Fig12(o Options) *Table {
 	var pts []point
 	for _, n := range counts {
 		res, err := workflow.Run(workflow.Config{
-			Machine:        hpc.Titan(),
-			Method:         workflow.MethodDataSpacesNative,
-			Workload:       workflow.WorkloadLaplace,
-			SimProcs:       simProcs,
-			AnaProcs:       anaProcs,
-			Steps:          o.steps(),
-			Servers:        n,
-			TransportModeV: transport.ModeSocket,
+			Machine:       hpc.Titan(),
+			Method:        workflow.MethodDataSpacesNative,
+			Workload:      workflow.WorkloadLaplace,
+			SimProcs:      simProcs,
+			AnaProcs:      anaProcs,
+			Steps:         o.steps(),
+			Servers:       n,
+			TransportMode: transport.ModeSocket,
 		})
 		if err != nil || res.Failed {
 			t.AddRow(itoa(n), failCell(res.FailErr), "-")
@@ -94,7 +94,7 @@ func Fig13(o Options) []*Table {
 			}
 			shared := base
 			shared.SharedNode = true
-			shared.TransportModeV = se.mode
+			shared.TransportMode = se.mode
 			sh, err := workflow.Run(shared)
 			shCell := "ERR"
 			improvement := "-"

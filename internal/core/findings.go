@@ -102,7 +102,7 @@ func Findings(o Options) []Finding {
 	sockRes, err2 := workflow.Run(workflow.Config{
 		Machine: hpc.Titan(), Method: workflow.MethodDataSpacesNative,
 		Workload: workflow.WorkloadLAMMPS, SimProcs: 128, AnaProcs: 64, Steps: steps,
-		TransportModeV: transport.ModeSocket,
+		TransportMode: transport.ModeSocket,
 	})
 	if err1 == nil && err2 == nil && !rdmaRes.Failed && !sockRes.Failed {
 		gain := 100 * (1 - rdmaRes.EndToEnd/sockRes.EndToEnd)
@@ -130,7 +130,7 @@ func Findings(o Options) []Finding {
 	sh, err2 := workflow.Run(workflow.Config{
 		Machine: hpc.Cori(), Method: workflow.MethodDataSpacesNative,
 		Workload: workflow.WorkloadLaplace, SimProcs: 256, AnaProcs: 128, Steps: steps,
-		SharedNode: true, TransportModeV: transport.ModeSocket,
+		SharedNode: true, TransportMode: transport.ModeSocket,
 	})
 	if errTitan == nil {
 		f5.Detail = "Titan accepted node sharing"
@@ -157,7 +157,7 @@ func Findings(o Options) []Finding {
 	sock, err := workflow.Run(workflow.Config{
 		Machine: hpc.Cori(), Method: workflow.MethodDataSpacesNative,
 		Workload: workflow.WorkloadLAMMPS, SimProcs: 32, AnaProcs: 16, Steps: 1,
-		TransportModeV: transport.ModeSocket,
+		TransportMode: transport.ModeSocket,
 	})
 	f7.Verified = err == nil && !sock.Failed && sock.DRCRequests == 0
 	f7.Detail = "socket fallback runs without touching DRC or uGNI"
@@ -169,7 +169,7 @@ func Findings(o Options) []Finding {
 	oom, err := workflow.Run(workflow.Config{
 		Machine: hpc.Titan(), Method: workflow.MethodDecaf,
 		Workload: workflow.WorkloadLaplace, SimProcs: 64, AnaProcs: 32, Steps: 1,
-		Servers: 8, ServersPerNodeV: 8,
+		Servers: 8, ServersPerNode: 8,
 	})
 	f8.Verified = err == nil && oom.Failed && errors.Is(oom.FailErr, hpc.ErrOutOfNodeMemory)
 	f8.Detail = "densely packed Decaf dataflow ranks exhaust node memory"

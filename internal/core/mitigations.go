@@ -51,14 +51,14 @@ func Mitigations(o Options) *Table {
 		Method:   workflow.MethodDataSpacesNative,
 		Workload: workflow.WorkloadLAMMPS,
 		SimProcs: 2048, AnaProcs: 1024, Steps: 1,
-		TransportModeV: transport.ModeSocket,
+		TransportMode: transport.ModeSocket,
 	}
 	sockFail, _ := workflow.Run(sockBase)
 	sockPool := sockBase
 	sockPool.SocketPoolSize = 64
 	sockOK, _ := workflow.Run(sockPool)
 	rdmaRef := sockBase
-	rdmaRef.TransportModeV = transport.ModeRDMA
+	rdmaRef.TransportMode = transport.ModeRDMA
 	rdmaRes, _ := workflow.Run(rdmaRef)
 	cost = "-"
 	if !sockOK.Failed && !rdmaRes.Failed && rdmaRes.EndToEnd > 0 {

@@ -53,8 +53,8 @@ func Table4(o Options) *Table {
 		Method:   workflow.MethodDecaf,
 		Workload: workflow.WorkloadLaplace,
 		SimProcs: 64, AnaProcs: 32, Steps: 1,
-		Servers:         8,
-		ServersPerNodeV: 8, // dense packing: 8 x ~7 GB of 7x-inflated staging per node
+		Servers:        8,
+		ServersPerNode: 8, // dense packing: 8 x ~7 GB of 7x-inflated staging per node
 	})
 	t.AddRow("out of main memory",
 		"Decaf staging 128 MB/proc at 7x inflation, 8 dataflow ranks per 32 GB node",
@@ -75,7 +75,7 @@ func Table4(o Options) *Table {
 		Method:   workflow.MethodDataSpacesNative,
 		Workload: workflow.WorkloadLAMMPS,
 		SimProcs: sockScale.Sim, AnaProcs: sockScale.Ana, Steps: 1,
-		TransportModeV: transport.ModeSocket,
+		TransportMode: transport.ModeSocket,
 	})
 	t.AddRow("out of sockets",
 		"DataSpaces over TCP at (2048,1024), all clients reach all servers",

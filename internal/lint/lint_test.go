@@ -15,8 +15,10 @@ func TestMapRange(t *testing.T) {
 	analysistest.Run(t, lint.MapRange, "staging/maprange", "plainpkg")
 }
 
+// TestWallTime covers nondetflow's direct-call rules: wall-clock and
+// global-rand calls in modelled code, seeded sources and waivers.
 func TestWallTime(t *testing.T) {
-	analysistest.Run(t, lint.WallTime, "hpc/walltime", "plainpkg")
+	analysistest.Run(t, lint.NondetFlow, "hpc/walltime", "plainpkg")
 }
 
 func TestEventOrder(t *testing.T) {

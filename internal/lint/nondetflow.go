@@ -8,19 +8,28 @@ import (
 	"github.com/imcstudy/imcstudy/internal/lint/analysis"
 )
 
-// NondetFlow is the inter-procedural companion to walltime and
-// maprange. Those analyzers are purely intra-package, so wrapping
-// time.Now (or an order-dependent map walk, or os.Getenv) in a helper
-// that lives in a non-modelled package silently launders nondeterminism
-// into modelled code: the helper's package is out of scope, and the
-// modelled call site just calls an innocent-looking function.
+// NondetFlow forbids nondeterminism in modelled packages, directly or
+// through a helper. Modelled code advances on the virtual clock
+// (sim.Engine.Now / Proc.Sleep) and draws randomness from explicitly
+// seeded sources (rand.New(rand.NewSource(seed))); a wall-clock read,
+// the global math/rand source or the process environment makes two runs
+// of the same configuration diverge, breaking the byte-identity every
+// golden in EXPERIMENTS.md relies on. Test files are exempt (they
+// legitimately measure wall time), as are the cmd/ bench harnesses,
+// which are outside the modelled scope.
+//
+// A purely intra-package check is not enough: wrapping time.Now (or an
+// order-dependent map walk, or os.Getenv) in a helper that lives in a
+// non-modelled package silently launders nondeterminism into modelled
+// code: the helper's package is out of scope, and the modelled call
+// site just calls an innocent-looking function.
 //
 // NondetFlow closes that hole with a facts pass. For every function in
 // every package the driver sees — modelled or not — it computes whether
 // the function (directly, or via any chain of calls, across package
 // boundaries) reaches one of the nondeterminism roots:
 //
-//   - the wall clock (time.Now/Since/Sleep/..., same set as walltime),
+//   - the wall clock (time.Now/Since/Sleep/..., see bannedTime),
 //   - the global math/rand source (rand.Intn and friends),
 //   - the process environment and host identity (os.Getenv, os.Environ,
 //     os.Hostname, os.Getpid, ...),
@@ -31,11 +40,12 @@ import (
 // through the vetx facts file under `go vet -vettool`), so importers see
 // it. The reporting pass then flags, inside modelled packages only:
 //
-//   - any call to (or reference of) a tainted function defined outside
-//     modelled scope — the laundering case,
-//   - direct os.* environment reads (walltime does not cover those),
+//   - direct wall-clock and global-rand calls, and direct os.*
+//     environment reads,
 //   - time/rand functions referenced as *values* (assigning time.Now to
-//     a variable escapes walltime's call-expression check).
+//     a variable hides the later call from the direct-call check),
+//   - any call to (or reference of) a tainted function defined outside
+//     modelled scope — the laundering case.
 //
 // A reasoned //imclint:deterministic waiver at the source kills the
 // taint (the helper is "sanitized": its nondeterminism provably never
@@ -59,6 +69,24 @@ func (*NondetFact) AFact() {}
 
 func init() { analysis.RegisterFact(&NondetFact{}) }
 
+// bannedTime are the package-level `time` functions that read or wait
+// on the wall clock. Pure constructors/converters (time.Duration,
+// time.Unix, time.Date) stay legal.
+var bannedTime = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "AfterFunc": true, "Tick": true,
+	"NewTimer": true, "NewTicker": true,
+}
+
+// allowedRand are the package-level math/rand (and /v2) functions that
+// construct explicitly seeded generators; every other package-level
+// call uses the shared global source and is banned. Methods on a
+// *rand.Rand are always fine — the source was seeded at construction.
+var allowedRand = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
+}
+
 // envFuncs are the package-level os functions that read the process
 // environment or host identity — values that differ between two runs of
 // the same configuration on different hosts, shells or CI runners.
@@ -68,39 +96,30 @@ var envFuncs = map[string]bool{
 	"TempDir": true, "UserHomeDir": true, "UserCacheDir": true, "UserConfigDir": true,
 }
 
-// intrinsicClass distinguishes which sibling analyzer owns direct calls
-// to an intrinsic root, so nondetflow does not duplicate findings.
-type intrinsicClass int
-
-const (
-	classWalltime intrinsicClass = iota // time.*, global math/rand: walltime reports direct calls
-	classEnv                           // os environment reads: nondetflow reports these itself
-)
-
 // intrinsicSource reports whether fn is one of the stdlib
 // nondeterminism roots, with a short description for witness chains.
-func intrinsicSource(fn *types.Func) (desc string, class intrinsicClass, ok bool) {
+func intrinsicSource(fn *types.Func) (desc string, ok bool) {
 	if fn.Pkg() == nil {
-		return "", 0, false
+		return "", false
 	}
 	if sig, isSig := fn.Type().(*types.Signature); !isSig || sig.Recv() != nil {
-		return "", 0, false // methods (e.g. on a seeded *rand.Rand) are fine
+		return "", false // methods (e.g. on a seeded *rand.Rand) are fine
 	}
 	switch fn.Pkg().Path() {
 	case "time":
 		if bannedTime[fn.Name()] {
-			return "time." + fn.Name(), classWalltime, true
+			return "time." + fn.Name(), true
 		}
 	case "math/rand", "math/rand/v2":
 		if !allowedRand[fn.Name()] {
-			return "global rand." + fn.Name(), classWalltime, true
+			return "global rand." + fn.Name(), true
 		}
 	case "os":
 		if envFuncs[fn.Name()] {
-			return "os." + fn.Name(), classEnv, true
+			return "os." + fn.Name(), true
 		}
 	}
-	return "", 0, false
+	return "", false
 }
 
 // chainHopLimit bounds witness chains: beyond this many hops the tail
@@ -184,7 +203,7 @@ func computeNondetFacts(pass *analysis.Pass) error {
 				if !ok || fn.Pkg() == nil {
 					return true
 				}
-				if desc, _, isRoot := intrinsicSource(fn); isRoot {
+				if desc, isRoot := intrinsicSource(fn); isRoot {
 					if waived(pass, w, id.Pos()) {
 						return true // sanitized at the source
 					}
@@ -256,7 +275,8 @@ func computeNondetFacts(pass *analysis.Pass) error {
 	return nil
 }
 
-// runNondetFlow reports taint entering modelled scope.
+// runNondetFlow reports, in modelled scope, direct uses of the
+// nondeterminism roots and taint entering from outside.
 func runNondetFlow(pass *analysis.Pass) error {
 	if !inModelledScope(pass.Pkg.Path()) {
 		return nil
@@ -266,9 +286,8 @@ func runNondetFlow(pass *analysis.Pass) error {
 		if analysis.IsTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
-		// Idents in call position are walltime's domain for time/rand;
-		// everything else (value references, env reads, tainted helpers)
-		// is ours.
+		// Idents in call position: a direct call and a value reference
+		// get different messages.
 		callFun := make(map[*ast.Ident]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -293,16 +312,9 @@ func runNondetFlow(pass *analysis.Pass) error {
 				return true
 			}
 			isCall := callFun[id]
-			if desc, class, isRoot := intrinsicSource(fn); isRoot {
-				switch class {
-				case classWalltime:
-					if !isCall && !waived(pass, w, id.Pos()) {
-						pass.Reportf(id.Pos(), "%s referenced as a value in modelled code: calling it later launders nondeterminism past the walltime analyzer; use the virtual clock or a seeded source, or waive with //imclint:deterministic -- reason", desc)
-					}
-				case classEnv:
-					if !waived(pass, w, id.Pos()) {
-						pass.Reportf(id.Pos(), "%s reads the process environment in modelled code: runs stop being a pure function of (config, seed); thread the value through the configuration or waive with //imclint:deterministic -- reason", desc)
-					}
+			if desc, isRoot := intrinsicSource(fn); isRoot {
+				if !waived(pass, w, id.Pos()) {
+					pass.Reportf(id.Pos(), "%s", rootMessage(fn.Pkg().Path(), desc, isCall))
 				}
 				return true
 			}
@@ -321,4 +333,19 @@ func runNondetFlow(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// rootMessage is the finding for a direct use of an intrinsic root in
+// modelled code.
+func rootMessage(pkgPath, desc string, isCall bool) string {
+	switch {
+	case pkgPath == "os":
+		return desc + " reads the process environment in modelled code: runs stop being a pure function of (config, seed); thread the value through the configuration or waive with //imclint:deterministic -- reason"
+	case !isCall:
+		return desc + " referenced as a value in modelled code: calling it later hides the call from the direct-call check; use the virtual clock or a seeded source, or waive with //imclint:deterministic -- reason"
+	case pkgPath == "time":
+		return "wall-clock call " + desc + " in modelled package; use the virtual clock (sim.Engine.Now, Proc.Sleep) or waive with //imclint:deterministic -- reason"
+	default:
+		return desc + " in modelled package; draw from a seeded rand.New(rand.NewSource(seed)) or waive with //imclint:deterministic -- reason"
+	}
 }

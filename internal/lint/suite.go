@@ -10,7 +10,7 @@ import (
 // consumed, so every other analyzer has to see the package first.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		EventOrder, MapRange, MetricsNil, NondetFlow, ProfNil, SharedMut, WallTime,
+		EventOrder, MapRange, MetricsNil, NondetFlow, ProfNil, SharedMut,
 		StaleWaiver,
 	}
 }

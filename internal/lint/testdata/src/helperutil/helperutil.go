@@ -1,7 +1,7 @@
 // Package helperutil is the non-modelled half of the nondetflow
 // fixture: innocent-looking host helpers a modelled package might
-// import. The package path has no modelled segment, so walltime and
-// maprange never look inside it — exactly the laundering hole the
+// import. The package path has no modelled segment, so no finding is
+// ever reported inside it — exactly the laundering hole the
 // facts-propagating analyzer closes. No `// want` comments here: taint
 // is computed for this package but reported only at modelled call
 // sites.

@@ -1,5 +1,5 @@
-// Fixture for the walltime analyzer ("hpc" segment puts it in modelled
-// scope).
+// Fixture for nondetflow's direct wall-clock and global-rand calls
+// ("hpc" segment puts it in modelled scope).
 package walltime
 
 import (

@@ -1,6 +1,6 @@
 // Fixture: no path segment matches a modelled package, so maprange,
-// walltime and eventorder all stay silent here no matter what the code
-// does.
+// nondetflow and eventorder all stay silent here no matter what the
+// code does.
 package plainpkg
 
 import "time"

@@ -45,7 +45,7 @@ func TestSocketPoolResolvesDescriptorExhaustion(t *testing.T) {
 		Method:   MethodDataSpacesNative,
 		Workload: WorkloadLAMMPS,
 		SimProcs: 2048, AnaProcs: 1024, Steps: 1,
-		TransportModeV: transport.ModeSocket,
+		TransportMode: transport.ModeSocket,
 	}
 	res, err := Run(base)
 	if err != nil {

@@ -71,12 +71,12 @@ type Config struct {
 	SyntheticLayout          synthetic.Layout // 0 = mismatch
 
 	// Staging options (zero = the paper's defaults).
-	Servers         int
-	ServersPerNodeV int
-	TransportModeV  transport.Mode
-	Hash            dataspaces.HashVersion
-	QueueSizeV      int
-	RDMABufBytes    int64
+	Servers        int
+	ServersPerNode int
+	TransportMode  transport.Mode
+	Hash           dataspaces.HashVersion
+	QueueSize      int
+	RDMABufBytes   int64
 	// SharedNode colocates analytics ranks with simulation ranks
 	// (Figure 13's shared-memory mode).
 	SharedNode bool
@@ -171,22 +171,22 @@ func (c Config) servers() int {
 }
 
 func (c Config) serversPerNode() int {
-	if c.ServersPerNodeV > 0 {
-		return c.ServersPerNodeV
+	if c.ServersPerNode > 0 {
+		return c.ServersPerNode
 	}
 	return 2
 }
 
 func (c Config) transport() transport.Mode {
-	if c.TransportModeV != 0 {
-		return c.TransportModeV
+	if c.TransportMode != 0 {
+		return c.TransportMode
 	}
 	return transport.ModeRDMA
 }
 
 func (c Config) queueSize() int {
-	if c.QueueSizeV > 0 {
-		return c.QueueSizeV
+	if c.QueueSize > 0 {
+		return c.QueueSize
 	}
 	return 1
 }

@@ -11,8 +11,7 @@ import (
 // Titan, 9,688 on Cori KNL). Staging-server nodes are carved out of the
 // same budget, so the resulting placement never exceeds the machine.
 //
-// This is the scaling preset behind `imcbench scale` and the BENCH_PR4
-// suite: the modelled virtual times are deterministic for a given
+// The modelled virtual times are deterministic for a given
 // configuration, so the preset doubles as a reproducible performance
 // workload for the simulator itself.
 func LargeScale(spec hpc.Spec, method Method, nodes, steps int) Config {

@@ -205,7 +205,7 @@ func TestSharedModeDataSpacesRDMARejectedByDRC(t *testing.T) {
 	if !res.Failed || !errors.Is(res.FailErr, rdma.ErrDRCNodeSecure) {
 		t.Fatalf("want DRC node-secure failure, got failed=%v err=%v", res.Failed, res.FailErr)
 	}
-	cfg.TransportModeV = transport.ModeSocket
+	cfg.TransportMode = transport.ModeSocket
 	res, err = Run(cfg)
 	if err != nil {
 		t.Fatal(err)
