@@ -153,8 +153,8 @@ func TestSmokeCampaignShape(t *testing.T) {
 // TestCampaignValidate rejects malformed sweeps before any run starts.
 func TestCampaignValidate(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		mut   func(*Campaign)
+		name string
+		mut  func(*Campaign)
 	}{
 		{"no methods", func(c *Campaign) { c.Methods = nil }},
 		{"no faults", func(c *Campaign) { c.Faults = nil }},

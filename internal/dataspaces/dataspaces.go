@@ -136,8 +136,7 @@ type Server struct {
 	EP    *transport.Endpoint
 	Store *staging.Store
 
-	indexBytes int64
-	comp       string
+	comp string
 }
 
 // System is a deployed DataSpaces instance.
@@ -268,18 +267,8 @@ func (s *System) DefineDims(varName string, global ndarray.Box) error {
 		if err := s.m.Alloc(srv.Node, srv.comp, "index", perServer); err != nil {
 			return fmt.Errorf("dataspaces SFC index for %s: %w", varName, err)
 		}
-		s.addIndexBytes(srv, perServer)
 	}
 	return nil
-}
-
-// addIndexBytes grows server index memory, mirroring it into the metrics
-// registry as an index-size track.
-func (s *System) addIndexBytes(srv *Server, delta int64) {
-	srv.indexBytes += delta
-	if reg := s.m.Metrics; reg != nil {
-		reg.SampledGauge(s.cfg.Name + "/" + srv.comp + "/index_bytes").Add(float64(delta))
-	}
 }
 
 // Regions returns the staging regions of a defined variable.
@@ -292,7 +281,9 @@ func (s *System) Regions(varName string) ([]ndarray.Box, error) {
 }
 
 // IndexBytes returns server i's index memory.
-func (s *System) IndexBytes(i int) int64 { return s.servers[i].indexBytes }
+func (s *System) IndexBytes(i int) int64 {
+	return s.m.Mem.Component(s.servers[i].comp).CurrentOf("index")
+}
 
 // Detector returns the failure detector driving failover (nil when
 // replication is off).
@@ -611,7 +602,6 @@ func (c *Client) putOne(p *sim.Proc, srv *Server, key staging.Key, sub ndarray.B
 		if err := c.sys.m.Alloc(srv.Node, srv.comp, "index", BBoxEntryBytes); err != nil {
 			return err
 		}
-		c.sys.addIndexBytes(srv, BBoxEntryBytes)
 	}
 	return nil
 }
@@ -751,10 +741,7 @@ func (s *System) Shutdown() {
 		srv.Store.Close()
 		srv.EP.Close()
 		s.m.Free(srv.Node, srv.comp, "base", ServerBaseBytes)
-		if srv.indexBytes > 0 {
-			s.m.Free(srv.Node, srv.comp, "index", srv.indexBytes)
-			s.addIndexBytes(srv, -srv.indexBytes)
-		}
+		s.m.Free(srv.Node, srv.comp, "index", s.m.Mem.Component(srv.comp).CurrentOf("index"))
 	}
 }
 

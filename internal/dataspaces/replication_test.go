@@ -93,7 +93,7 @@ func TestReplicatedGetFailsOverToSurvivingReplica(t *testing.T) {
 func TestDetectorTriggersReReplication(t *testing.T) {
 	e, m := newTitan(t, 8)
 	reg := metrics.NewRegistry(e.Now)
-	m.EnableMetrics(reg)
+	m.Metrics = reg
 	// 6 servers on 3 nodes: when one node dies, a replacement replica can
 	// be placed on the node holding neither survivor nor lost copy.
 	sys := deployReplicated(t, m, 6, 2)
@@ -143,7 +143,7 @@ func TestDetectorTriggersReReplication(t *testing.T) {
 func TestSecondCrashDuringReReplication(t *testing.T) {
 	e, m := newTitan(t, 8)
 	reg := metrics.NewRegistry(e.Now)
-	m.EnableMetrics(reg)
+	m.Metrics = reg
 	sys, err := Deploy(m, Config{Servers: 6, Writers: 2, Replication: 2}, m.Nodes[:3])
 	if err != nil {
 		t.Fatal(err)

@@ -195,9 +195,7 @@ func Deploy(m *hpc.Machine, g *Graph, world *mpi.Comm, colocated bool) (*System,
 				if err := m.Alloc(world.Node(r), comp, "base", dflowBaseBytes); err != nil {
 					return nil, err
 				}
-				if m.Metrics != nil {
-					m.WatchNode(comp, world.Node(r))
-				}
+				m.WatchNode(comp, world.Node(r))
 				sys.stores = append(sys.stores, store)
 				sys.dflows = append(sys.dflows, r)
 			}

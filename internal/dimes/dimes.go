@@ -94,8 +94,7 @@ type MetaServer struct {
 	Node *hpc.Node
 	EP   *transport.Endpoint
 
-	comp    string
-	entries int64
+	comp string
 }
 
 // System is a deployed DIMES instance.
@@ -154,7 +153,7 @@ func Deploy(m *hpc.Machine, cfg Config, nodes []*hpc.Node) (*System, error) {
 		if err := m.Alloc(node, comp, "base", MetaServerBaseBytes); err != nil {
 			return nil, err
 		}
-		if m.Metrics != nil && i%cfg.MetaServersPerNode == 0 {
+		if i%cfg.MetaServersPerNode == 0 {
 			m.WatchNode(comp, node)
 		}
 		sys.servers = append(sys.servers, srv)
@@ -284,7 +283,6 @@ func (c *Client) Put(p *sim.Proc, varName string, version int, blk ndarray.Block
 	if err := c.sys.m.Alloc(srv.Node, srv.comp, "metadata", MetaEntryBytes); err != nil {
 		return err
 	}
-	c.sys.addEntries(srv, 1)
 	set := c.sys.owners[key]
 	if set == nil {
 		set = &ownerSet{}
@@ -427,10 +425,7 @@ func (c *Client) Close() {
 func (s *System) Shutdown() {
 	for _, srv := range s.servers {
 		s.m.Free(srv.Node, srv.comp, "base", MetaServerBaseBytes)
-		if srv.entries > 0 {
-			s.m.Free(srv.Node, srv.comp, "metadata", srv.entries*MetaEntryBytes)
-			s.addEntries(srv, -srv.entries)
-		}
+		s.m.Free(srv.Node, srv.comp, "metadata", s.m.Mem.Component(srv.comp).CurrentOf("metadata"))
 		srv.EP.Close()
 	}
 }
@@ -445,14 +440,5 @@ func (c *Client) addPinBytes(delta int64) {
 	c.pinBytes += delta
 	if mreg := c.sys.m.Metrics; mreg != nil {
 		mreg.SampledGauge(c.sys.cfg.Name + "/pinned_bytes").Add(float64(delta))
-	}
-}
-
-// addEntries moves a metadata server's entry count and its index-size
-// track (entries are the DIMES analogue of the DataSpaces spatial index).
-func (s *System) addEntries(srv *MetaServer, delta int64) {
-	srv.entries += delta
-	if mreg := s.m.Metrics; mreg != nil {
-		mreg.SampledGauge(s.cfg.Name + "/" + srv.comp + "/index_bytes").Add(float64(delta * MetaEntryBytes))
 	}
 }

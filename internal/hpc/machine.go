@@ -273,19 +273,6 @@ type Machine struct {
 	// Metrics, every layer holding a *Machine reaches it through this
 	// field, and retry.Retrier's nil-receiver Do makes the off state free.
 	Retry *retry.Retrier
-
-	watched []watchedNode
-}
-
-// watchedNode is a node whose NIC utilization is sampled into the
-// registry on every network rate recomputation. The series pointers are
-// resolved once per registry so the per-recomputation observer does not
-// rebuild names or take the registry lock.
-type watchedNode struct {
-	label string
-	node  *Node
-	inS   *metrics.Series
-	outS  *metrics.Series
 }
 
 // New builds a machine with nNodes nodes on the given engine.
@@ -331,47 +318,17 @@ func New(e *sim.Engine, spec Spec, nNodes int) (*Machine, error) {
 // Spec returns the machine specification.
 func (m *Machine) Spec() Spec { return m.SpecV }
 
-// EnableMetrics attaches a telemetry registry and starts sampling NIC
-// utilization of every node registered with WatchNode (before or after
-// this call) on each network rate recomputation. A nil registry turns
-// telemetry off again.
-func (m *Machine) EnableMetrics(reg *metrics.Registry) {
-	m.Metrics = reg
-	if reg == nil {
-		m.Net.SetRateObserver(nil)
+// WatchNode records node n's NIC utilization as the
+// nic/<label>/{in,out}_util series (e.g. label "server-0"): each NIC link
+// appends a sample whenever a rate recomputation changes its
+// utilization. It does nothing while m.Metrics is nil, so set Metrics
+// first.
+func (m *Machine) WatchNode(label string, n *Node) {
+	if m.Metrics == nil {
 		return
 	}
-	for i := range m.watched {
-		m.watched[i].resolve(reg)
-	}
-	m.Net.SetRateObserver(func(t sim.Time) {
-		for i := range m.watched {
-			w := &m.watched[i]
-			if w.inS == nil {
-				w.resolve(reg)
-			}
-			w.inS.Append(t, w.node.in.Utilization())
-			w.outS.Append(t, w.node.out.Utilization())
-		}
-	})
-}
-
-// WatchNode registers a node for NIC-utilization sampling under the
-// given label (e.g. "server-0"). Watching the same node twice under
-// different labels duplicates its samples; under the same label it is a
-// no-op.
-func (m *Machine) WatchNode(label string, n *Node) {
-	for _, w := range m.watched {
-		if w.label == label {
-			return
-		}
-	}
-	m.watched = append(m.watched, watchedNode{label: label, node: n})
-}
-
-func (w *watchedNode) resolve(reg *metrics.Registry) {
-	w.inS = reg.Series("nic/" + w.label + "/in_util")
-	w.outS = reg.Series("nic/" + w.label + "/out_util")
+	n.in.RecordUtilization(m.Metrics.Series("nic/" + label + "/in_util"))
+	n.out.RecordUtilization(m.Metrics.Series("nic/" + label + "/out_util"))
 }
 
 // Compute advances the process by refSeconds of Titan-equivalent compute.

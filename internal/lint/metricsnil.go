@@ -1,12 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-
-	"github.com/imcstudy/imcstudy/internal/lint/analysis"
-)
+import "github.com/imcstudy/imcstudy/internal/lint/analysis"
 
 // MetricsNil enforces the internal/metrics acquisition contract: every
 // instrument (*Counter, *Gauge, *Histogram, *Series) must come from a
@@ -17,91 +11,30 @@ import (
 // it records even when telemetry is disabled, never appears in
 // snapshots or digests, and a value-typed field silently breaks the
 // "nil instrument = disabled" hot-path convention that staging,
-// transport and the hpc NIC observer cache against.
+// transport, memprof and the sim links cache against.
 var MetricsNil = &analysis.Analyzer{
 	Name: "metricsnil",
 	Doc:  "requires metrics instruments to be obtained from Registry accessors, not constructed directly",
-	Run:  runMetricsNil,
+	Run:  metricsContract.run,
 }
 
-// instrumentNames are the metrics types that must only be minted by a
-// Registry. Registry itself is included: a &Registry{} bypasses
-// NewRegistry's map and clock initialization and panics on first use.
-var instrumentNames = map[string]bool{
-	"Counter": true, "Gauge": true, "Histogram": true, "Series": true,
-	"Registry": true,
-}
-
-func runMetricsNil(pass *analysis.Pass) error {
-	if isMetricsPackage(pass.Pkg.Path()) {
-		return nil // the registry's own constructors are the accessors
-	}
-	w := collectWaivers(pass.Fset, pass.Files)
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f.Pos()) {
-			continue
+// metricsContract guards the instruments and Registry itself: a
+// &Registry{} bypasses NewRegistry's map and clock initialization and
+// panics on first use.
+var metricsContract = &acquisition{
+	pkg: "metrics",
+	guarded: map[string]bool{
+		"Counter": true, "Gauge": true, "Histogram": true, "Series": true,
+		"Registry": true,
+	},
+	accessor: func(t string) string {
+		if t == "Registry" {
+			return "NewRegistry"
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if t := instrumentType(pass.TypesInfo.TypeOf(n)); t != "" && !waived(pass, w, n.Pos()) {
-					pass.Reportf(n.Pos(), "metrics.%s constructed directly; obtain it from a Registry accessor (nil-safe, registered for encoding) or waive with //imclint:deterministic -- reason", t)
-				}
-			case *ast.CallExpr:
-				if id, ok := n.Fun.(*ast.Ident); ok {
-					if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "new" && len(n.Args) == 1 {
-						if t := instrumentType(pass.TypesInfo.TypeOf(n.Args[0])); t != "" && !waived(pass, w, n.Pos()) {
-							pass.Reportf(n.Pos(), "new(metrics.%s) bypasses the Registry accessors; use reg.%s(name) or waive with //imclint:deterministic -- reason", t, accessorFor(t))
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				// var c metrics.Counter (value, not pointer): methods work
-				// but the instrument is a phantom and can never be the nil
-				// "disabled" sentinel.
-				if n.Type != nil {
-					if t := instrumentType(pass.TypesInfo.TypeOf(n.Type)); t != "" && !waived(pass, w, n.Pos()) {
-						pass.Reportf(n.Pos(), "value-typed metrics.%s variable; declare *metrics.%s and fill it from a Registry accessor or waive with //imclint:deterministic -- reason", t, t)
-					}
-				}
-			case *ast.StructType:
-				for _, fld := range n.Fields.List {
-					if t := instrumentType(pass.TypesInfo.TypeOf(fld.Type)); t != "" && !waived(pass, w, fld.Pos()) {
-						pass.Reportf(fld.Pos(), "value-typed metrics.%s field; store *metrics.%s obtained from a Registry accessor or waive with //imclint:deterministic -- reason", t, t)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// instrumentType returns the instrument name when t is a bare (non
-// pointer) metrics instrument type, else "".
-func instrumentType(t types.Type) string {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || !isMetricsPackage(obj.Pkg().Path()) {
-		return ""
-	}
-	if instrumentNames[obj.Name()] {
-		return obj.Name()
-	}
-	return ""
-}
-
-func isMetricsPackage(path string) bool {
-	return path == "github.com/imcstudy/imcstudy/internal/metrics" ||
-		strings.HasSuffix(path, "/internal/metrics") || path == "metrics"
-}
-
-func accessorFor(t string) string {
-	if t == "Registry" {
-		return "NewRegistry"
-	}
-	return t
+		return t
+	},
+	composite:  "metrics.%[1]s constructed directly; obtain it from a Registry accessor (nil-safe, registered for encoding) or waive with //imclint:deterministic -- reason",
+	newCall:    "new(metrics.%[1]s) bypasses the Registry accessors; use reg.%[2]s(name) or waive with //imclint:deterministic -- reason",
+	valueVar:   "value-typed metrics.%[1]s variable; declare *metrics.%[1]s and fill it from a Registry accessor or waive with //imclint:deterministic -- reason",
+	valueField: "value-typed metrics.%[1]s field; store *metrics.%[1]s obtained from a Registry accessor or waive with //imclint:deterministic -- reason",
 }

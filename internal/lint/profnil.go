@@ -1,12 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-
-	"github.com/imcstudy/imcstudy/internal/lint/analysis"
-)
+import "github.com/imcstudy/imcstudy/internal/lint/analysis"
 
 // ProfNil enforces the internal/prof acquisition contract, the profiler
 // twin of metricsnil: a *prof.Profiler must come from prof.New (nil is
@@ -20,84 +14,22 @@ import (
 var ProfNil = &analysis.Analyzer{
 	Name: "profnil",
 	Doc:  "requires prof.Profiler/prof.Profile values to come from the nil-guarded prof accessors, not direct construction",
-	Run:  runProfNil,
+	Run:  profContract.run,
 }
 
-// profGuardedNames are the prof types that must only be minted by the
-// package's own accessors (New, Decode, Snapshot).
-var profGuardedNames = map[string]bool{
-	"Profiler": true, "Profile": true,
-}
-
-func runProfNil(pass *analysis.Pass) error {
-	if isProfPackage(pass.Pkg.Path()) {
-		return nil // New/Decode/Snapshot themselves construct these
-	}
-	w := collectWaivers(pass.Fset, pass.Files)
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f.Pos()) {
-			continue
+// profContract guards the types the package's own accessors (New,
+// Decode, Snapshot) mint.
+var profContract = &acquisition{
+	pkg:     "prof",
+	guarded: map[string]bool{"Profiler": true, "Profile": true},
+	accessor: func(t string) string {
+		if t == "Profiler" {
+			return "prof.New"
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if t := profGuardedType(pass.TypesInfo.TypeOf(n)); t != "" && !waived(pass, w, n.Pos()) {
-					pass.Reportf(n.Pos(), "prof.%s constructed directly; obtain it from %s or waive with //imclint:deterministic -- reason", t, profAccessorFor(t))
-				}
-			case *ast.CallExpr:
-				if id, ok := n.Fun.(*ast.Ident); ok {
-					if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "new" && len(n.Args) == 1 {
-						if t := profGuardedType(pass.TypesInfo.TypeOf(n.Args[0])); t != "" && !waived(pass, w, n.Pos()) {
-							pass.Reportf(n.Pos(), "new(prof.%s) bypasses the prof accessors; use %s or waive with //imclint:deterministic -- reason", t, profAccessorFor(t))
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				// var p prof.Profiler (value, not pointer): methods work but
-				// the value can never be the nil "profiling off" sentinel.
-				if n.Type != nil {
-					if t := profGuardedType(pass.TypesInfo.TypeOf(n.Type)); t != "" && !waived(pass, w, n.Pos()) {
-						pass.Reportf(n.Pos(), "value-typed prof.%s variable; declare *prof.%s and fill it from %s or waive with //imclint:deterministic -- reason", t, t, profAccessorFor(t))
-					}
-				}
-			case *ast.StructType:
-				for _, fld := range n.Fields.List {
-					if t := profGuardedType(pass.TypesInfo.TypeOf(fld.Type)); t != "" && !waived(pass, w, fld.Pos()) {
-						pass.Reportf(fld.Pos(), "value-typed prof.%s field; store *prof.%s obtained from %s or waive with //imclint:deterministic -- reason", t, t, profAccessorFor(t))
-					}
-				}
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// profGuardedType returns the type name when t is a bare (non pointer)
-// guarded prof type, else "".
-func profGuardedType(t types.Type) string {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || !isProfPackage(obj.Pkg().Path()) {
-		return ""
-	}
-	if profGuardedNames[obj.Name()] {
-		return obj.Name()
-	}
-	return ""
-}
-
-func isProfPackage(path string) bool {
-	return path == "github.com/imcstudy/imcstudy/internal/prof" ||
-		strings.HasSuffix(path, "/internal/prof") || path == "prof"
-}
-
-func profAccessorFor(t string) string {
-	if t == "Profiler" {
-		return "prof.New"
-	}
-	return "prof.Decode or a profiled run's Result.Profile"
+		return "prof.Decode or a profiled run's Result.Profile"
+	},
+	composite:  "prof.%[1]s constructed directly; obtain it from %[2]s or waive with //imclint:deterministic -- reason",
+	newCall:    "new(prof.%[1]s) bypasses the prof accessors; use %[2]s or waive with //imclint:deterministic -- reason",
+	valueVar:   "value-typed prof.%[1]s variable; declare *prof.%[1]s and fill it from %[2]s or waive with //imclint:deterministic -- reason",
+	valueField: "value-typed prof.%[1]s field; store *prof.%[1]s obtained from %[2]s or waive with //imclint:deterministic -- reason",
 }

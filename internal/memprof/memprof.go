@@ -4,11 +4,11 @@
 // every allocation a library model makes is recorded against a component
 // (a simulation rank, an analytics rank, a staging server) under a kind
 // ("compute", "staging", "index", "buffer", ...), producing time-series
-// and peak statistics.
+// and peak statistics. Publish makes the tracker the producer of the
+// registry's memory tracks.
 package memprof
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -31,6 +31,11 @@ type Component struct {
 	byKind     map[string]int64
 	peakByKind map[string]int64
 	samples    []Sample
+
+	// gauge is the published mem/<name> track and kindGauges the
+	// mem/<name>/<kind> tracks; gauge is nil while unpublished.
+	gauge      *metrics.Gauge
+	kindGauges map[string]*metrics.Gauge
 }
 
 // Name returns the component name.
@@ -71,6 +76,10 @@ type Tracker struct {
 	e     *sim.Engine
 	comps map[string]*Component
 	order []string
+
+	// reg and prefixes select the published components (see Publish).
+	reg      *metrics.Registry
+	prefixes []string
 }
 
 // NewTracker returns a tracker sampling against the engine's clock.
@@ -91,8 +100,43 @@ func (t *Tracker) Component(name string) *Component {
 		}
 		t.comps[name] = c
 		t.order = append(t.order, name)
+		t.publish(c)
 	}
 	return c
+}
+
+// Publish makes the tracker a producer of registry tracks. From now on
+// every component whose name starts with one of prefixes records, each
+// time its memory changes, a mem/<component> sampled gauge (current
+// bytes, peak and series) and a mem/<component>/<kind> sampled gauge for
+// the allocation kind that changed. Publish before the components
+// allocate: changes made earlier are not replayed into the series. A nil
+// registry is a no-op.
+func (t *Tracker) Publish(reg *metrics.Registry, prefixes ...string) {
+	if reg == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.reg, t.prefixes = reg, prefixes
+	for _, name := range t.order {
+		t.publish(t.comps[name])
+	}
+}
+
+// publish attaches c's gauges when c matches a published prefix; the
+// caller holds t.mu.
+func (t *Tracker) publish(c *Component) {
+	if t.reg == nil || c.gauge != nil {
+		return
+	}
+	for _, p := range t.prefixes {
+		if strings.HasPrefix(c.name, p) {
+			c.gauge = t.reg.SampledGauge("mem/" + c.name)
+			c.kindGauges = make(map[string]*metrics.Gauge)
+			return
+		}
+	}
 }
 
 // Alloc records n bytes allocated by the component under kind.
@@ -129,6 +173,15 @@ func (t *Tracker) adjust(component, kind string, n int64) {
 	} else {
 		c.samples = append(c.samples, Sample{T: now, Bytes: c.cur})
 	}
+	if c.gauge != nil {
+		c.gauge.Set(float64(c.cur))
+		g, ok := c.kindGauges[kind]
+		if !ok {
+			g = t.reg.SampledGauge("mem/" + c.name + "/" + kind)
+			c.kindGauges[kind] = g
+		}
+		g.Set(float64(c.byKind[kind]))
+	}
 }
 
 // Components returns all components in creation order.
@@ -163,41 +216,4 @@ func (t *Tracker) MaxPeakMatching(prefix string) int64 {
 		}
 	}
 	return max
-}
-
-// BridgeTo copies the memory profile of every component matching one of
-// the name prefixes into the registry: the full time-series becomes a
-// `mem/<component>` series and the peak a `mem/<component>/peak` gauge.
-// This makes the metrics report the single source of truth for the
-// paper's memory figures (5-7, 11). A nil registry is a no-op.
-func (t *Tracker) BridgeTo(reg *metrics.Registry, prefixes ...string) {
-	if reg == nil {
-		return
-	}
-	for _, c := range t.Components() {
-		matched := len(prefixes) == 0
-		for _, p := range prefixes {
-			if strings.HasPrefix(c.name, p) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			continue
-		}
-		s := reg.Series("mem/" + c.name)
-		for _, smp := range c.Series() {
-			s.Append(smp.T, float64(smp.Bytes))
-		}
-		reg.Gauge("mem/" + c.name + "/peak").Set(float64(c.Peak()))
-	}
-}
-
-// String summarizes peaks for debugging.
-func (t *Tracker) String() string {
-	s := ""
-	for _, c := range t.Components() {
-		s += fmt.Sprintf("%s: peak %d\n", c.name, c.peak)
-	}
-	return s
 }

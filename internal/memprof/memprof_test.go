@@ -1,8 +1,10 @@
 package memprof
 
 import (
+	"strings"
 	"testing"
 
+	"github.com/imcstudy/imcstudy/internal/metrics"
 	"github.com/imcstudy/imcstudy/internal/sim"
 )
 
@@ -75,9 +77,6 @@ func TestKindsSortedAndString(t *testing.T) {
 	if len(kinds) != 2 || kinds[0] != "alpha" || kinds[1] != "zeta" {
 		t.Fatalf("kinds = %v", kinds)
 	}
-	if tr.String() == "" {
-		t.Fatal("String empty")
-	}
 	if tr.Component("c").CurrentOf("alpha") != 10 {
 		t.Fatal("CurrentOf wrong")
 	}
@@ -92,5 +91,103 @@ func TestSameInstantSamplesCoalesce(t *testing.T) {
 	series := tr.Component("c").Series()
 	if len(series) != 1 || series[0].Bytes != 6 {
 		t.Fatalf("series = %+v, want one coalesced sample of 6", series)
+	}
+}
+
+// TestPublishMatchesTracker checks the registry tracks Publish produces
+// against the tracker's own accounting: a published component's
+// mem/<name> gauge and per-kind gauges agree with Current/Peak and
+// CurrentOf/PeakOf after an alloc/free sequence, its series matches the
+// tracker's, and an unpublished component creates no instruments.
+func TestPublishMatchesTracker(t *testing.T) {
+	e := sim.NewEngine()
+	tr := NewTracker(e)
+	reg := metrics.NewRegistry(e.Now)
+	tr.Alloc("server-0", "base", 10) // before Publish: not replayed
+	tr.Publish(reg, "server-", "sim-0")
+	steps := []struct {
+		comp, kind string
+		n          int64
+	}{
+		{"server-1", "base", 100}, {"server-1", "staging", 400},
+		{"sim-0", "compute", 50}, {"ana-0", "compute", 70},
+		{"server-1", "index", 30}, {"server-1", "staging", -400},
+		{"server-0", "base", 5}, {"server-1", "staging", 250},
+		{"sim-0", "compute", -80}, {"server-1", "index", -30},
+	}
+	e.Spawn("worker", func(p *sim.Proc) error {
+		for _, s := range steps {
+			if s.n > 0 {
+				tr.Alloc(s.comp, s.kind, s.n)
+			} else {
+				tr.Free(s.comp, s.kind, -s.n)
+			}
+			if err := p.Sleep(1); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"server-1", "sim-0"} {
+		c := tr.Component(name)
+		g := snap.Gauges["mem/"+name]
+		if g.Value != float64(c.Current()) || g.Peak != float64(c.Peak()) {
+			t.Errorf("mem/%s = %+v, tracker current %d peak %d", name, g, c.Current(), c.Peak())
+		}
+		for _, kind := range c.Kinds() {
+			g := snap.Gauges["mem/"+name+"/"+kind]
+			if g.Value != float64(c.CurrentOf(kind)) || g.Peak != float64(c.PeakOf(kind)) {
+				t.Errorf("mem/%s/%s = %+v, tracker current %d peak %d",
+					name, kind, g, c.CurrentOf(kind), c.PeakOf(kind))
+			}
+		}
+		var want []metrics.Sample
+		for _, smp := range c.Series() {
+			want = append(want, metrics.Sample{T: smp.T, V: float64(smp.Bytes)})
+		}
+		got := snap.Series["mem/"+name]
+		if len(got) != len(want) {
+			t.Fatalf("mem/%s series %v, tracker %v", name, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("mem/%s series %v, tracker %v", name, got, want)
+			}
+		}
+	}
+	// server-0 allocated before Publish: its gauge holds the absolute
+	// value, but the series starts at the first change after Publish.
+	if g, s := snap.Gauges["mem/server-0"], snap.Series["mem/server-0"]; g.Value != 15 || len(s) != 1 {
+		t.Errorf("mem/server-0 = %+v with series %v, want 15 and one sample", g, s)
+	}
+	for name := range snap.Gauges {
+		if strings.HasPrefix(name, "mem/ana-0") {
+			t.Errorf("unpublished component ana-0 created gauge %s", name)
+		}
+	}
+	for name := range snap.Series {
+		if strings.HasPrefix(name, "mem/ana-0") {
+			t.Errorf("unpublished component ana-0 created series %s", name)
+		}
+	}
+	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
+		t.Errorf("Publish created counters %v or histograms %v", snap.Counters, snap.Histograms)
+	}
+}
+
+// TestPublishNilRegistry pins the disabled path: publishing to a nil
+// registry records nothing and leaves the tracker's accounting intact.
+func TestPublishNilRegistry(t *testing.T) {
+	e := sim.NewEngine()
+	tr := NewTracker(e)
+	tr.Publish(nil, "c")
+	tr.Alloc("c", "k", 10)
+	tr.Free("c", "k", 4)
+	if c := tr.Component("c"); c.Current() != 6 || c.Peak() != 10 {
+		t.Fatalf("current %d peak %d, want 6 and 10", c.Current(), c.Peak())
 	}
 }

@@ -173,7 +173,8 @@ type Sample struct {
 
 // Series is a time-series of samples on the virtual clock. Consecutive
 // samples at the same instant coalesce (the last value wins), which
-// keeps rate-recomputation storms from bloating the series.
+// keeps same-instant storms (several rate recomputations or allocations
+// at one virtual time) from bloating the series.
 type Series struct {
 	samples []Sample
 }

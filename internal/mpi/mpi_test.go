@@ -359,7 +359,7 @@ func TestScatterAndReduce(t *testing.T) {
 func TestCollectiveTrafficAttribution(t *testing.T) {
 	e, c, spawn := newWorld(t, 4, 2)
 	reg := metrics.NewRegistry(e.Now)
-	c.Machine().EnableMetrics(reg)
+	c.Machine().Metrics = reg
 	spawn(func(r *Rank, p *sim.Proc) error {
 		if _, err := r.Bcast(p, 0, 1024, nil); err != nil {
 			return err

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"github.com/imcstudy/imcstudy/internal/metrics"
 )
 
 // completionEps is the residual byte count below which a flow is complete;
@@ -31,6 +33,11 @@ type Link struct {
 	// for the incremental recomputation.
 	dirty  bool
 	inComp bool
+
+	// series are the utilization tracks attached by RecordUtilization;
+	// recorded is the utilization they last received (idle until then).
+	series   []*metrics.Series
+	recorded float64
 }
 
 // linkSlot records one occurrence of a flow on a link; k is the index of
@@ -63,6 +70,30 @@ func (l *Link) Utilization() float64 {
 		return 0
 	}
 	return l.curRate / l.rate
+}
+
+// RecordUtilization attaches s to the link: from now on, every rate
+// recomputation that re-rates the link and changes its utilization
+// appends (now, Utilization()) to s, so s holds the change points from
+// idle.
+func (l *Link) RecordUtilization(s *metrics.Series) {
+	l.series = append(l.series, s)
+}
+
+// record appends the link's utilization to its series when it differs
+// from the value last recorded. Both solver modes call it for every
+// re-rated link that has series; the check makes them record identical
+// series, because the full recomputation re-rates links whose value did
+// not move.
+func (l *Link) record(t Time) {
+	u := l.Utilization()
+	if u == l.recorded {
+		return
+	}
+	l.recorded = u
+	for _, s := range l.series {
+		s.Append(t, u)
+	}
 }
 
 // Net is a max-min fair bandwidth-sharing network. Each flow traverses a
@@ -120,9 +151,9 @@ func (n *Net) Links() []*Link { return n.links }
 
 // SetRateObserver installs fn, called after every rate recomputation with
 // the current virtual time; per-link assigned rates are then readable via
-// Link.CurrentRate. Telemetry uses this to sample NIC utilization without
-// the sim package knowing about the metrics registry. A nil fn removes
-// the observer.
+// Link.CurrentRate. It is a per-recomputation hook for tests; telemetry
+// records through Link.RecordUtilization instead. A nil fn removes the
+// observer.
 func (n *Net) SetRateObserver(fn func(t Time)) { n.onRates = fn }
 
 type netFlow struct {
@@ -297,6 +328,11 @@ func (n *Net) assignRates() {
 		l.curRate = 0
 	}
 	n.fillRates(n.flows)
+	for _, l := range n.links {
+		if l.series != nil {
+			l.record(n.e.now)
+		}
+	}
 }
 
 // assignRatesIncremental recomputes rates only for the connected
@@ -343,6 +379,9 @@ func (n *Net) assignRatesIncremental() {
 	for _, l := range comp {
 		l.inComp = false
 		l.dirty = false
+		if l.series != nil {
+			l.record(n.e.now)
+		}
 	}
 	for _, f := range cf {
 		f.inComp = false
@@ -429,7 +468,7 @@ func (n *Net) fillRates(flows []*netFlow) {
 		}
 	}
 	// Reset scratch counters for the next recomputation, and roll up the
-	// per-link aggregate rates the observer reads.
+	// per-link aggregate rates that utilization is recorded from.
 	for _, l := range active {
 		n.count[l.id] = 0
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/imcstudy/imcstudy/internal/metrics"
 )
 
 // flowScript is a seeded random schedule of flow arrivals and link
@@ -67,23 +69,37 @@ func makeFlowScript(seed int64, nLinks, nFlows, nTunes int) flowScript {
 	return sc
 }
 
-// play runs the script and returns a transcript of every observable:
-// flow completion times, and per-link aggregate rates after every
-// recomputation, all rendered as exact float64 bits.
-func (sc flowScript) play(t *testing.T, full bool) []string {
+// playback is what one replay of a script observed.
+type playback struct {
+	// log is a transcript of every observable: flow completion times,
+	// and per-link aggregate rates after every recomputation, all
+	// rendered as exact float64 bits.
+	log []string
+	// observed[i] is link i's utilization after every recomputation, as
+	// the rate observer saw it; recorded[i] is the series link i
+	// recorded itself through RecordUtilization.
+	observed, recorded [][]metrics.Sample
+}
+
+// play runs the script with a utilization series attached to every link.
+func (sc flowScript) play(t *testing.T, full bool) playback {
 	t.Helper()
 	e := NewEngine()
 	n := e.NewNet()
 	n.ForceFullRecompute(full)
+	reg := metrics.NewRegistry(e.Now)
 	links := make([]*Link, sc.nLinks)
 	for i := range links {
 		links[i] = n.NewLink(fmt.Sprintf("l%d", i), sc.rates[i])
+		links[i].RecordUtilization(reg.Series(links[i].Name()))
 	}
 	var log []string
+	observed := make([][]metrics.Sample, sc.nLinks)
 	n.SetRateObserver(func(tm Time) {
 		line := fmt.Sprintf("rates %x", math.Float64bits(tm))
-		for _, l := range links {
+		for i, l := range links {
 			line += fmt.Sprintf(" %x", math.Float64bits(l.CurrentRate()))
+			observed[i] = append(observed[i], metrics.Sample{T: tm, V: l.Utilization()})
 		}
 		log = append(log, line)
 	})
@@ -113,7 +129,11 @@ func (sc flowScript) play(t *testing.T, full bool) []string {
 	if err := e.Run(); err != nil {
 		t.Fatalf("run (full=%v): %v", full, err)
 	}
-	return log
+	pb := playback{log: log, observed: observed}
+	for _, l := range links {
+		pb.recorded = append(pb.recorded, reg.Series(l.Name()).Samples())
+	}
+	return pb
 }
 
 // TestIncrementalMatchesFullRecompute drives randomized flow
@@ -124,8 +144,8 @@ func (sc flowScript) play(t *testing.T, full bool) []string {
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		sc := makeFlowScript(seed, 10, 150, 25)
-		fullLog := sc.play(t, true)
-		incLog := sc.play(t, false)
+		fullLog := sc.play(t, true).log
+		incLog := sc.play(t, false).log
 		if len(fullLog) != len(incLog) {
 			t.Fatalf("seed %d: transcript lengths differ: full=%d incremental=%d",
 				seed, len(fullLog), len(incLog))
@@ -135,6 +155,76 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 				t.Fatalf("seed %d: transcripts diverge at line %d:\nfull:        %s\nincremental: %s",
 					seed, i, fullLog[i], incLog[i])
 			}
+		}
+	}
+}
+
+// changePoints reduces a per-recomputation utilization log to what a
+// link's series must hold: the samples that differ from the previous
+// value, starting from idle, with samples at one instant coalesced to
+// the last.
+func changePoints(obs []metrics.Sample) []metrics.Sample {
+	var out []metrics.Sample
+	last := 0.0
+	for _, s := range obs {
+		if s.V == last {
+			continue
+		}
+		last = s.V
+		if k := len(out); k > 0 && out[k-1].T == s.T {
+			out[k-1].V = s.V
+			continue
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+func sameSamples(a, b []metrics.Sample) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].T) != math.Float64bits(b[i].T) ||
+			math.Float64bits(a[i].V) != math.Float64bits(b[i].V) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLinkSeriesRecordChangePoints replays the randomized scripts,
+// degradation windows included, and checks the series each link records
+// itself: in both solver modes it equals the rate observer's
+// per-recomputation log reduced to change points, and the two modes
+// record identical series.
+func TestLinkSeriesRecordChangePoints(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		sc := makeFlowScript(seed, 10, 150, 25)
+		full, inc := sc.play(t, true), sc.play(t, false)
+		samples := 0
+		for i := 0; i < sc.nLinks; i++ {
+			for _, pb := range []struct {
+				mode string
+				playback
+			}{{"full", full}, {"incremental", inc}} {
+				if want := changePoints(pb.observed[i]); !sameSamples(pb.recorded[i], want) {
+					t.Fatalf("seed %d link %d (%s): recorded %v, want change points %v",
+						seed, i, pb.mode, pb.recorded[i], want)
+				}
+			}
+			if !sameSamples(full.recorded[i], inc.recorded[i]) {
+				t.Fatalf("seed %d link %d: full recorded %v, incremental %v",
+					seed, i, full.recorded[i], inc.recorded[i])
+			}
+			if len(inc.observed[i]) <= len(inc.recorded[i]) {
+				t.Fatalf("seed %d link %d: %d observations reduced to %d samples; the script should repeat values",
+					seed, i, len(inc.observed[i]), len(inc.recorded[i]))
+			}
+			samples += len(inc.recorded[i])
+		}
+		if samples < 10*sc.nLinks {
+			t.Fatalf("seed %d: only %d samples over %d links", seed, samples, sc.nLinks)
 		}
 	}
 }

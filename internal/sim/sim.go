@@ -171,7 +171,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc) error) *Proc {
 }
 
 // runProc executes a process body, converting a panic into a structured
-/// error instead of tearing down the host: the deferred recover runs
+// error instead of tearing down the host: the deferred recover runs
 // while the process still holds the engine's execution turn, so the
 // normal done/yield handshake below proceeds and the engine stays sane.
 func runProc(p *Proc, fn func(p *Proc) error) (err error) {

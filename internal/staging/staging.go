@@ -52,7 +52,6 @@ type Store struct {
 	ctrReg      *metrics.Registry
 	ctrs        map[string]*storeCounters
 	compObjects *metrics.Gauge
-	compBytes   *metrics.Gauge
 }
 
 // storeCounters caches the aggregate counters for one operation kind.
@@ -272,10 +271,10 @@ func (s *Store) Put(key Key, blk ndarray.Block) error {
 }
 
 // count records store telemetry: aggregate object/byte counters for every
-// store, plus per-component sampled tracks for staging servers (the
-// memory-resident processes the paper profiles); per-rank client stores
-// stay out of the per-component namespace so large runs don't bloat the
-// report.
+// store, plus a per-component object count for staging servers (the
+// memory-resident processes the paper profiles; their staged bytes are
+// memprof's mem/<server>/staging track); per-rank client stores stay out
+// of the per-component namespace so large runs don't bloat the report.
 func (s *Store) count(op string, objects, cost int64) {
 	reg := s.m.Metrics
 	if reg == nil {
@@ -284,10 +283,9 @@ func (s *Store) count(op string, objects, cost int64) {
 	if reg != s.ctrReg {
 		s.ctrReg = reg
 		s.ctrs = make(map[string]*storeCounters, 4)
-		s.compObjects, s.compBytes = nil, nil
+		s.compObjects = nil
 		if strings.Contains(s.component, "server") {
 			s.compObjects = reg.Gauge("staging/" + s.component + "/objects")
-			s.compBytes = reg.SampledGauge("staging/" + s.component + "/bytes")
 		}
 	}
 	c, ok := s.ctrs[op]
@@ -306,7 +304,6 @@ func (s *Store) count(op string, objects, cost int64) {
 			sign = -1
 		}
 		s.compObjects.Add(sign * float64(objects))
-		s.compBytes.Add(sign * float64(cost))
 	}
 }
 

@@ -45,11 +45,6 @@ type Recorder struct {
 	flows []FlowPoint
 }
 
-// Add records one span; calls on a nil recorder are dropped.
-func (r *Recorder) Add(component, name string, start, end sim.Time) {
-	r.AddSpan(component, name, start, end, nil)
-}
-
 // AddSpan records one span with optional args shown in the trace
 // viewer's detail pane; calls on a nil recorder are dropped.
 func (r *Recorder) AddSpan(component, name string, start, end sim.Time, args map[string]string) {
@@ -108,20 +103,6 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// TotalBy sums span durations per activity name.
-func (r *Recorder) TotalBy(name string) sim.Time {
-	if r == nil {
-		return 0
-	}
-	var total sim.Time
-	for _, s := range r.spans {
-		if s.Name == name {
-			total += s.Duration()
-		}
-	}
-	return total
-}
-
 // CounterTrack is a named time-series rendered as a Perfetto counter
 // track ("C" events) alongside the span timeline. Samples may be a
 // registry series' own slice (metrics.Series.View); the exporter only
@@ -136,12 +117,6 @@ type CounterTrack struct {
 type ExportOptions struct {
 	// Counters become "C" events, one Perfetto counter track per entry.
 	Counters []CounterTrack
-}
-
-// ChromeTraceJSON renders the spans as a Chrome trace-event array: one
-// "thread" per component, virtual seconds mapped to microseconds.
-func (r *Recorder) ChromeTraceJSON() ([]byte, error) {
-	return r.ChromeTraceJSONWith(ExportOptions{})
 }
 
 // Output size estimates for ChromeTraceJSONWith's single allocation:

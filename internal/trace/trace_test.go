@@ -10,9 +10,9 @@ import (
 
 func TestRecorderSpansSorted(t *testing.T) {
 	var r Recorder
-	r.Add("sim-0", "compute", 5, 7)
-	r.Add("sim-0", "put", 7, 8)
-	r.Add("ana-0", "get", 1, 3)
+	r.AddSpan("sim-0", "compute", 5, 7, nil)
+	r.AddSpan("sim-0", "put", 7, 8, nil)
+	r.AddSpan("ana-0", "get", 1, 3, nil)
 	spans := r.Spans()
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d", len(spans))
@@ -20,15 +20,14 @@ func TestRecorderSpansSorted(t *testing.T) {
 	if spans[0].Component != "ana-0" {
 		t.Fatalf("spans not sorted by start: %+v", spans)
 	}
-	if got := r.TotalBy("compute"); got != 2 {
-		t.Fatalf("TotalBy(compute) = %v, want 2", got)
+	if d := spans[1].Duration(); spans[1].Name != "compute" || d != 2 {
+		t.Fatalf("compute span %+v lasts %v, want 2", spans[1], d)
 	}
 }
 
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	r.Add("x", "y", 0, 1) // must not panic
-	r.AddSpan("x", "y", 0, 1, map[string]string{"k": "v"})
+	r.AddSpan("x", "y", 0, 1, map[string]string{"k": "v"}) // must not panic
 	r.FlowStart(1, "x", 0)
 	r.FlowEnd(1, "y", 1)
 	if r.Spans() != nil {
@@ -37,14 +36,11 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Flows() != nil {
 		t.Fatal("nil recorder returned flows")
 	}
-	if r.TotalBy("y") != 0 {
-		t.Fatal("nil recorder returned totals")
-	}
 }
 
 func TestNegativeDurationClamped(t *testing.T) {
 	var r Recorder
-	r.Add("c", "n", 5, 3)
+	r.AddSpan("c", "n", 5, 3, nil)
 	if d := r.Spans()[0].Duration(); d != 0 {
 		t.Fatalf("duration = %v, want 0", d)
 	}
@@ -52,10 +48,10 @@ func TestNegativeDurationClamped(t *testing.T) {
 
 func TestChromeTraceJSON(t *testing.T) {
 	var r Recorder
-	r.Add("sim-0", "compute", 0, 1.5)
-	r.Add("sim-0", "put", 1.5, 1.6)
-	r.Add("ana-0", "get", 1.6, 1.7)
-	buf, err := r.ChromeTraceJSON()
+	r.AddSpan("sim-0", "compute", 0, 1.5, nil)
+	r.AddSpan("sim-0", "put", 1.5, 1.6, nil)
+	r.AddSpan("ana-0", "get", 1.6, 1.7, nil)
+	buf, err := r.ChromeTraceJSONWith(ExportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +80,7 @@ func TestChromeTraceJSON(t *testing.T) {
 func TestChromeTraceJSONWithCountersAndFlows(t *testing.T) {
 	var r Recorder
 	r.AddSpan("sim-0", "put", 0, 1, map[string]string{"step": "0", "bytes": "1024"})
-	r.Add("ana-0", "get", 1, 2)
+	r.AddSpan("ana-0", "get", 1, 2, nil)
 	r.FlowStart(7, "sim-0", 1)
 	r.FlowEnd(7, "ana-0", 2)
 	buf, err := r.ChromeTraceJSONWith(ExportOptions{

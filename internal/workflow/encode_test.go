@@ -236,7 +236,7 @@ func TestEncodersMatchOracle(t *testing.T) {
 	})
 	t.Run("empty recorder", func(t *testing.T) {
 		for _, rec := range []*trace.Recorder{nil, {}} {
-			got, err := rec.ChromeTraceJSON()
+			got, err := rec.ChromeTraceJSONWith(trace.ExportOptions{})
 			want, wantErr := oracleChromeJSON(rec, trace.ExportOptions{})
 			sameBytes(t, "empty recorder", got, err, want, wantErr)
 			if string(got) != "null" {

@@ -67,21 +67,21 @@ func TestMetricsPopulated(t *testing.T) {
 	for _, s := range []string{
 		"nic/sim-0/out_util", "nic/ana-0/in_util",
 		"nic/dataspaces-server-0/in_util",
-		"staging/dataspaces-server-0/bytes",
-		"dataspaces/dataspaces-server-0/index_bytes",
+		"mem/dataspaces-server-0/staging",
+		"mem/dataspaces-server-0/index",
 		"mem/dataspaces-server-0", "mem/sim-0",
 	} {
 		if len(snap.Series[s]) == 0 {
 			t.Errorf("series %s empty", s)
 		}
 	}
-	if snap.Gauges["mem/dataspaces-server-0/peak"].Value <= 0 {
-		t.Error("server memory peak not bridged")
+	if snap.Gauges["mem/dataspaces-server-0"].Peak <= 0 {
+		t.Error("server memory peak not published")
 	}
-	// The bridged peak agrees with the memory tracker.
+	// The published peak agrees with the memory tracker.
 	want := float64(res.Tracker.Component("dataspaces-server-0").Peak())
-	if got := snap.Gauges["mem/dataspaces-server-0/peak"].Value; got != want {
-		t.Errorf("bridged peak = %v, tracker says %v", got, want)
+	if got := snap.Gauges["mem/dataspaces-server-0"].Peak; got != want {
+		t.Errorf("published peak = %v, tracker says %v", got, want)
 	}
 }
 
@@ -118,8 +118,9 @@ func TestMetricsDeterministic(t *testing.T) {
 
 // TestGoldenEnrichedTrace pins the full enriched trace export — thread
 // metadata, argument-carrying spans, put->get flow arrows and counter
-// tracks — against a golden file. Regenerate with `go test -run Golden
-// -update ./internal/workflow/`.
+// tracks — against a golden file. Regenerate with `go test
+// ./internal/workflow/ -run TestGoldenEnrichedTrace -update` (the
+// package comes before -update, which go test does not know).
 func TestGoldenEnrichedTrace(t *testing.T) {
 	res := runMetrics(t)
 	got, err := res.TraceJSON()

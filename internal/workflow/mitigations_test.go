@@ -171,7 +171,11 @@ func TestTraceRecordsSpans(t *testing.T) {
 	if len(spans) != 24 {
 		t.Fatalf("spans = %d, want 24", len(spans))
 	}
-	if res.Trace.TotalBy("compute") <= 0 || res.Trace.TotalBy("put") <= 0 {
+	total := map[string]float64{}
+	for _, s := range spans {
+		total[s.Name] += s.Duration()
+	}
+	if total["compute"] <= 0 || total["put"] <= 0 {
 		t.Fatal("span totals missing")
 	}
 	// Without Trace, no recorder is attached.

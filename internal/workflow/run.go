@@ -357,12 +357,17 @@ func run(cfg Config) (Result, error) {
 		res.Trace = &trace.Recorder{}
 	}
 	if cfg.Metrics {
-		// Enable before buildCoupler so the staging models register their
-		// server nodes for NIC sampling during Deploy.
+		// Set before buildCoupler so the staging models watch their server
+		// NICs and publish their memory from Deploy on.
 		res.Metrics = metrics.NewRegistry(e.Now)
-		m.EnableMetrics(res.Metrics)
+		m.Metrics = res.Metrics
 		m.WatchNode("sim-0", lay.simNodes[0])
 		m.WatchNode("ana-0", lay.anaNodes[0])
+		prefixes := []string{"sim-0", "ana-0"}
+		if row.serverPrefix != "" {
+			prefixes = append(prefixes, row.serverPrefix)
+		}
+		m.Mem.Publish(res.Metrics, prefixes...)
 	}
 	m.Retry = retry.New(cfg.Retry, res.Metrics)
 	var profiler *prof.Profiler
@@ -618,18 +623,18 @@ func run(cfg Config) (Result, error) {
 		res.FallbackReads = o.FallbackReads
 		res.RolledBackSteps = o.RolledBackSteps
 	}
-	finalizeMetrics(&res, m, row)
+	finalizeMetrics(&res, m)
 	res.Profile = profiler.Snapshot()
 	res.Verified = verified && row.couples
 	return res, nil
 }
 
 // finalizeMetrics folds end-of-run machine state into the registry:
-// per-link traffic and mean utilization, contended-resource wait stats,
-// DRC counters, and the memory profiles of the staging servers and lead
-// ranks — making the metrics report the single source of truth for the
+// per-link traffic and mean utilization, contended-resource wait stats
+// and DRC counters. The NIC and memory tracks were recorded as they
+// changed, so the metrics report is the single source of truth for the
 // paper's bandwidth and memory figures.
-func finalizeMetrics(res *Result, m *hpc.Machine, row *methodTraits) {
+func finalizeMetrics(res *Result, m *hpc.Machine) {
 	reg := res.Metrics
 	if reg == nil {
 		return
@@ -658,11 +663,6 @@ func finalizeMetrics(res *Result, m *hpc.Machine, row *methodTraits) {
 		reg.Counter("drc/requests").Add(float64(m.DRC.Requests()))
 		reg.Counter("drc/failures").Add(float64(m.DRC.Failures()))
 	}
-	comps := []string{"sim-0", "ana-0"}
-	if row.serverPrefix != "" {
-		comps = append(comps, row.serverPrefix)
-	}
-	m.Mem.BridgeTo(reg, comps...)
 }
 
 // place builds the machine and the role-to-node layout.
