@@ -79,10 +79,12 @@ bench:
 	IMC_SCALE_BENCH=$${IMC_SCALE_BENCH:-1} $(GO) test -run TestScaleBench -count=1 -timeout 60m -v .
 
 # microbench runs the per-figure testing.B benchmarks in quick mode,
-# the DIMES Get benchmark at 339 and 6810 writers, and the telemetry
-# encoders (metrics JSON/CSV and Perfetto trace JSON) on one fixed run.
+# the DIMES Get benchmark at 339 and 6810 writers, the telemetry
+# encoders (metrics JSON/CSV and Perfetto trace JSON) on one fixed run,
+# and the fair-share solver: one fill of a fixed ds-matched-shaped
+# network and the 1k-10k sender fan-in.
 microbench:
-	$(GO) test -bench . -benchtime 2x -run '^$$' . ./internal/dimes ./internal/workflow
+	$(GO) test -bench . -benchtime 2x -run '^$$' . ./internal/dimes ./internal/sim ./internal/workflow
 
 # fuzz discovers every native fuzzer in the tree (`go test -list`) and
 # gives each FUZZTIME of shaking; saved crashers in testdata/fuzz replay

@@ -180,6 +180,9 @@ func Deploy(m *hpc.Machine, g *Graph, world *mpi.Comm, colocated bool) (*System,
 	}
 	next := 0
 	producers := 0
+	// Co-located dflow ranks share one NIC; watch it once, under the
+	// first dflow rank on the node, as DataSpaces and DIMES do.
+	watched := make(map[*hpc.Node]bool)
 	for _, n := range g.nodes {
 		ranks := make([]int, n.Ranks)
 		for i := range ranks {
@@ -191,11 +194,15 @@ func Deploy(m *hpc.Machine, g *Graph, world *mpi.Comm, colocated bool) (*System,
 		case RoleDflow:
 			for _, r := range ranks {
 				comp := fmt.Sprintf("decaf-server-%d", len(sys.stores))
-				store := staging.NewStore(m, world.Node(r), comp, "staging", 1, DflowOverheadFactor)
-				if err := m.Alloc(world.Node(r), comp, "base", dflowBaseBytes); err != nil {
+				node := world.Node(r)
+				store := staging.NewStore(m, node, comp, "staging", 1, DflowOverheadFactor)
+				if err := m.Alloc(node, comp, "base", dflowBaseBytes); err != nil {
 					return nil, err
 				}
-				m.WatchNode(comp, world.Node(r))
+				if !watched[node] {
+					watched[node] = true
+					m.WatchNode(comp, node)
+				}
 				sys.stores = append(sys.stores, store)
 				sys.dflows = append(sys.dflows, r)
 			}

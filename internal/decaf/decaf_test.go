@@ -2,9 +2,11 @@ package decaf
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/imcstudy/imcstudy/internal/hpc"
+	"github.com/imcstudy/imcstudy/internal/metrics"
 	"github.com/imcstudy/imcstudy/internal/mpi"
 	"github.com/imcstudy/imcstudy/internal/sim"
 )
@@ -225,6 +227,25 @@ func TestShutdownFreesDflows(t *testing.T) {
 		if n.Mem.Used() != 0 {
 			t.Fatalf("node %s holds %d bytes after shutdown", n.Name(), n.Mem.Used())
 		}
+	}
+}
+
+// TestDflowNICWatchedOncePerNode places six dflow ranks on two nodes
+// (ranks 2-3 share node 0 with the producers, ranks 4-7 fill node 1)
+// and checks each node's NIC is recorded once, under its first dflow
+// rank's label.
+func TestDflowNICWatchedOncePerNode(t *testing.T) {
+	e, m, g, world := buildWorld(t, hpc.Titan(), 2, 6, 2)
+	m.Metrics = metrics.NewRegistry(e.Now)
+	if _, err := Deploy(m, g, world, false); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"nic/decaf-server-0/in_util", "nic/decaf-server-0/out_util",
+		"nic/decaf-server-2/in_util", "nic/decaf-server-2/out_util",
+	}
+	if got := m.Metrics.SeriesNames(); !slices.Equal(got, want) {
+		t.Fatalf("series = %v, want %v", got, want)
 	}
 }
 

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/imcstudy/imcstudy/internal/metrics"
 )
@@ -111,7 +112,7 @@ type Net struct {
 	flows      []*netFlow
 	flowSeq    int64
 	lastT      Time
-	cancelNext func()
+	cancelNext Handle
 	dirty      bool
 
 	// dirtyLinks accumulates the links whose flow set or capacity
@@ -130,6 +131,7 @@ type Net struct {
 	compLinks []*Link
 	compFlows []*netFlow
 	active    []*Link
+	fix       []*netFlow
 
 	// flushFn/onCompletionFn are the bound methods scheduled on the
 	// engine, captured once so the hot path does not allocate a new
@@ -272,10 +274,7 @@ func (n *Net) markDirty() {
 		return
 	}
 	n.dirty = true
-	if n.cancelNext != nil {
-		n.cancelNext()
-		n.cancelNext = nil
-	}
+	n.cancelNext.Cancel()
 	n.e.At(n.e.now, n.flushFn)
 }
 
@@ -341,13 +340,13 @@ func (n *Net) assignRates() {
 // capacity, flow counts, pick order — is exactly what the full algorithm
 // would compute for those links, and untouched components keep their
 // previous (still exact) allocation, so the resulting rates are
-// bit-identical to a full recomputation.
+// bit-identical to a full recomputation. It relies on n.flows staying in
+// seq order: StartFlow appends and onCompletion compacts in place.
 func (n *Net) assignRatesIncremental() {
 	if len(n.dirtyLinks) == 0 {
 		return
 	}
 	comp := n.compLinks[:0]
-	cf := n.compFlows[:0]
 	for _, l := range n.dirtyLinks {
 		l.inComp = true
 	}
@@ -359,7 +358,6 @@ func (n *Net) assignRatesIncremental() {
 				continue
 			}
 			f.inComp = true
-			cf = append(cf, f)
 			for _, l2 := range f.links {
 				if !l2.inComp {
 					l2.inComp = true
@@ -368,10 +366,14 @@ func (n *Net) assignRatesIncremental() {
 			}
 		}
 	}
-	// The filling loop must walk component flows in global arrival order
-	// — the order the full recomputation sees them in n.flows — so ties
-	// and float accumulation resolve identically.
-	sort.Slice(cf, func(a, b int) bool { return cf[a].seq < cf[b].seq })
+	// Filtering n.flows yields the component's flows in seq order, the
+	// order the full recomputation walks them in.
+	cf := n.compFlows[:0]
+	for _, f := range n.flows {
+		if f.inComp {
+			cf = append(cf, f)
+		}
+	}
 	for _, l := range comp {
 		l.curRate = 0
 	}
@@ -395,8 +397,10 @@ func (n *Net) assignRatesIncremental() {
 // whose fair share (remaining capacity / unfixed flows) is smallest, fix
 // all its flows at that rate, and subtract their demand from the other
 // links they traverse. Ties break toward the smaller link id so runs are
-// deterministic. Callers must have zeroed curRate on every link the flows
-// traverse.
+// deterministic. flows must be in seq order and hold every active flow
+// on the links they traverse: a bottleneck's flows come from its own
+// list, sorted by seq. Callers must have zeroed curRate on every link
+// the flows traverse.
 func (n *Net) fillRates(flows []*netFlow) {
 	active := n.active[:0]
 	for _, f := range flows {
@@ -437,26 +441,23 @@ func (n *Net) fillRates(flows []*netFlow) {
 		if bestShare < 0 {
 			bestShare = 0
 		}
-		for _, f := range flows {
-			if f.fixed {
-				continue
+		// Fix the bottleneck's flows in seq order, so remCap is decremented
+		// and clamped in the order a scan of flows would; marking them
+		// fixed on collection skips a flow's second slot on the link.
+		fix := n.fix[:0]
+		for _, s := range n.links[best].flows {
+			if !s.f.fixed {
+				s.f.fixed = true
+				fix = append(fix, s.f)
 			}
-			onBottleneck := false
-			for _, l := range f.links {
-				if l.id == best {
-					onBottleneck = true
-					break
-				}
-			}
-			if !onBottleneck {
-				continue
-			}
+		}
+		slices.SortFunc(fix, func(a, b *netFlow) int { return cmp.Compare(a.seq, b.seq) })
+		for _, f := range fix {
 			rate := bestShare
 			if f.rateCap > 0 && f.rateCap < rate {
 				rate = f.rateCap
 			}
 			f.rate = rate
-			f.fixed = true
 			unfixed--
 			for _, l := range f.links {
 				n.remCap[l.id] -= rate
@@ -466,6 +467,7 @@ func (n *Net) fillRates(flows []*netFlow) {
 				n.count[l.id]--
 			}
 		}
+		n.fix = fix[:0]
 	}
 	// Reset scratch counters for the next recomputation, and roll up the
 	// per-link aggregate rates that utilization is recorded from.
@@ -482,10 +484,7 @@ func (n *Net) fillRates(flows []*netFlow) {
 
 // scheduleNext arranges a callback at the earliest flow completion.
 func (n *Net) scheduleNext() {
-	if n.cancelNext != nil {
-		n.cancelNext()
-		n.cancelNext = nil
-	}
+	n.cancelNext.Cancel()
 	tmin := math.Inf(1)
 	for _, f := range n.flows {
 		if f.rate <= 0 {
@@ -507,7 +506,6 @@ func (n *Net) scheduleNext() {
 
 // onCompletion retires finished flows and recomputes the sharing.
 func (n *Net) onCompletion() {
-	n.cancelNext = nil
 	n.advance()
 	keep := n.flows[:0]
 	for _, f := range n.flows {

@@ -96,6 +96,15 @@ func (sc flowScript) play(t *testing.T, full bool) playback {
 	var log []string
 	observed := make([][]metrics.Sample, sc.nLinks)
 	n.SetRateObserver(func(tm Time) {
+		// The incremental path filters component flows out of n.flows
+		// in place of sorting them, so completions must keep it in seq
+		// order.
+		for i := 1; i < len(n.flows); i++ {
+			if n.flows[i-1].seq >= n.flows[i].seq {
+				t.Fatalf("t=%v: n.flows out of seq order at %d: %d then %d",
+					tm, i, n.flows[i-1].seq, n.flows[i].seq)
+			}
+		}
 		line := fmt.Sprintf("rates %x", math.Float64bits(tm))
 		for i, l := range links {
 			line += fmt.Sprintf(" %x", math.Float64bits(l.CurrentRate()))
@@ -274,5 +283,169 @@ func TestSetLinkRateZeroFlows(t *testing.T) {
 	// move after the 1.2s restore: done at 1.2 + 0.8 = 2.0.
 	if math.Abs(doneAt-2.0) > 1e-9 {
 		t.Fatalf("stalled transfer finished at %g, want 2.0", doneAt)
+	}
+}
+
+// scanFill is progressive filling as it was written before fillRates
+// began reading each bottleneck's flows from the link's own list: for
+// every bottleneck it scans all flows, in the order given, for the
+// unfixed ones crossing that link. It is the oracle for the filling
+// itself, which ForceFullRecompute cannot check because both of its
+// modes call fillRates.
+func scanFill(n *Net, flows []*netFlow) {
+	active := n.active[:0]
+	for _, f := range flows {
+		f.fixed = false
+		for _, l := range f.links {
+			if n.count[l.id] == 0 {
+				n.remCap[l.id] = l.rate
+				active = append(active, l)
+			}
+			n.count[l.id]++
+		}
+	}
+	unfixed := len(flows)
+	for unfixed > 0 {
+		best := -1
+		bestShare := math.Inf(1)
+		for _, l := range active {
+			if n.count[l.id] == 0 {
+				continue
+			}
+			share := n.remCap[l.id] / float64(n.count[l.id])
+			if share < bestShare || (share == bestShare && (best < 0 || l.id < best)) {
+				bestShare = share
+				best = l.id
+			}
+		}
+		if best < 0 {
+			for _, f := range flows {
+				if !f.fixed {
+					f.rate = 0
+					f.fixed = true
+					unfixed--
+				}
+			}
+			break
+		}
+		if bestShare < 0 {
+			bestShare = 0
+		}
+		for _, f := range flows {
+			if f.fixed {
+				continue
+			}
+			onBottleneck := false
+			for _, l := range f.links {
+				if l.id == best {
+					onBottleneck = true
+					break
+				}
+			}
+			if !onBottleneck {
+				continue
+			}
+			rate := bestShare
+			if f.rateCap > 0 && f.rateCap < rate {
+				rate = f.rateCap
+			}
+			f.rate = rate
+			f.fixed = true
+			unfixed--
+			for _, l := range f.links {
+				n.remCap[l.id] -= rate
+				if n.remCap[l.id] < 0 {
+					n.remCap[l.id] = 0
+				}
+				n.count[l.id]--
+			}
+		}
+	}
+	for _, l := range active {
+		n.count[l.id] = 0
+	}
+	for _, f := range flows {
+		for _, l := range f.links {
+			l.curRate += f.rate
+		}
+	}
+	n.active = active[:0]
+}
+
+// randomFlowSet builds a network holding a random set of active flows,
+// never run: capped flows with different caps, flows listing one link
+// twice, flows with no link at all (only the stall branch rates them),
+// and zero-capacity links. A third of the flows are retired again, so
+// the links' flow lists are out of seq order as swap-removes leave them.
+func randomFlowSet(seed int64) *Net {
+	rng := rand.New(rand.NewSource(seed))
+	n := NewEngine().NewNet()
+	nLinks := 2 + rng.Intn(12)
+	links := make([]*Link, nLinks)
+	for i := range links {
+		rate := 1e6 * (1 + 9*rng.Float64())
+		if rng.Intn(8) == 0 {
+			rate = 0
+		}
+		links[i] = n.NewLink(fmt.Sprintf("l%d", i), rate)
+	}
+	nFlows := 1 + rng.Intn(60)
+	for i := 0; i < nFlows; i++ {
+		var rateCap float64
+		if rng.Intn(2) == 0 {
+			rateCap = 1e4 + 2e6*rng.Float64()
+		}
+		var ls []*Link
+		if rng.Intn(20) != 0 {
+			for j := 0; j < 1+rng.Intn(3); j++ {
+				ls = append(ls, links[rng.Intn(nLinks)])
+			}
+			if rng.Intn(6) == 0 {
+				ls = append(ls, ls[0])
+			}
+		}
+		n.StartFlowCapped(1e6, rateCap, ls...)
+	}
+	keep := n.flows[:0]
+	for _, f := range n.flows {
+		if rng.Intn(3) == 0 {
+			n.detach(f)
+			continue
+		}
+		keep = append(keep, f)
+	}
+	n.flows = keep
+	return n
+}
+
+// TestFillMatchesScanOracle fills random flow sets with fillRates and
+// with the scan-every-flow oracle, and asserts every flow's rate and
+// every link's aggregate rate agree bit for bit.
+func TestFillMatchesScanOracle(t *testing.T) {
+	for seed := int64(1); seed <= 3000; seed++ {
+		n := randomFlowSet(seed)
+		n.assignRates()
+		rates := make([]uint64, len(n.flows))
+		for i, f := range n.flows {
+			rates[i] = math.Float64bits(f.rate)
+		}
+		cur := make([]uint64, len(n.links))
+		for i, l := range n.links {
+			cur[i] = math.Float64bits(l.curRate)
+			l.curRate = 0
+		}
+		scanFill(n, n.flows)
+		for i, f := range n.flows {
+			if got := math.Float64bits(f.rate); got != rates[i] {
+				t.Fatalf("seed %d flow seq %d: fillRates rate %v, oracle %v",
+					seed, f.seq, math.Float64frombits(rates[i]), f.rate)
+			}
+		}
+		for i, l := range n.links {
+			if got := math.Float64bits(l.curRate); got != cur[i] {
+				t.Fatalf("seed %d link %s: fillRates curRate %v, oracle %v",
+					seed, l.name, math.Float64frombits(cur[i]), l.curRate)
+			}
+		}
 	}
 }

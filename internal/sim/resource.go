@@ -50,12 +50,6 @@ func (r *Resource) Used() int64 { return r.used }
 // Peak returns the maximum amount ever held.
 func (r *Resource) Peak() int64 { return r.peak }
 
-// Available returns the unheld amount.
-func (r *Resource) Available() int64 { return r.capacity - r.used }
-
-// QueueLen returns the number of processes currently waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // PeakQueue returns the maximum number of simultaneous waiters ever seen.
 func (r *Resource) PeakQueue() int { return r.peakQueue }
 

@@ -96,3 +96,38 @@ func BenchmarkScaleFanInFullRecompute(b *testing.B) {
 		})
 	}
 }
+
+// matchedNet builds a fixed N-to-N network shaped like the ds-matched
+// workload: 682 writers at 16 per node put to 42 staging servers at 2
+// per node, writer w into region w*64/682 of 64 (region i belongs to
+// server i mod 42), each flow crossing its writer node's outbound NIC
+// and its server node's inbound NIC.
+func matchedNet() *Net {
+	const writers, perNode, servers, regions = 682, 16, 42, 64
+	n := NewEngine().NewNet()
+	out := make([]*Link, (writers+perNode-1)/perNode)
+	for i := range out {
+		out[i] = n.NewLink(fmt.Sprintf("w%d/out", i), 5.5e9)
+	}
+	in := make([]*Link, servers/2)
+	for i := range in {
+		in[i] = n.NewLink(fmt.Sprintf("s%d/in", i), 5.5e9)
+	}
+	for w := 0; w < writers; w++ {
+		s := (w * regions / writers) % servers
+		n.StartFlow(20.48e6, out[w/perNode], in[s/2])
+	}
+	return n
+}
+
+// BenchmarkFillMatched times one full progressive filling of the
+// ds-matched-shaped network: the solver's cost per recomputation with
+// fixed inputs, apart from the event loop.
+func BenchmarkFillMatched(b *testing.B) {
+	n := matchedNet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.assignRates()
+	}
+}

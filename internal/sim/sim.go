@@ -57,8 +57,8 @@ type Engine struct {
 	failed   bool
 
 	// pool recycles schedItems: the hot path allocates one per event
-	// otherwise. Recycling bumps seq, which the At cancel closure checks
-	// so a stale cancel cannot touch a reused item.
+	// otherwise. Reuse bumps seq, which Handle.Cancel checks so a stale
+	// handle cannot touch a reused item.
 	pool []*schedItem
 
 	// prof, when non-nil, attributes wall time, event counts and
@@ -215,17 +215,25 @@ func (e *Engine) recycle(it *schedItem) {
 	e.pool = append(e.pool, it)
 }
 
-// At schedules fn to run in engine context (not as a process) at time t.
-// The returned cancel function is a no-op after the callback has fired,
-// even if the item has since been recycled for another event.
-func (e *Engine) At(t Time, fn func()) (cancel func()) {
-	it := e.schedule(t, nil, fn)
-	seq := it.seq
-	return func() {
-		if it.seq == seq {
-			it.canceled = true
-		}
+// Handle cancels one callback scheduled with At; being a value, it costs
+// no allocation. The zero Handle cancels nothing.
+type Handle struct {
+	it  *schedItem
+	seq int64
+}
+
+// Cancel keeps the callback from running. It is a no-op once the
+// callback has fired, even if its item was recycled for another event.
+func (h Handle) Cancel() {
+	if h.it != nil && h.it.seq == h.seq {
+		h.it.canceled = true
 	}
+}
+
+// At schedules fn to run in engine context (not as a process) at time t.
+func (e *Engine) At(t Time, fn func()) Handle {
+	it := e.schedule(t, nil, fn)
+	return Handle{it, it.seq}
 }
 
 // resume hands control to p and waits for it to yield back.

@@ -167,8 +167,11 @@ func TestAtCallbackAndCancel(t *testing.T) {
 	e := NewEngine()
 	fired := []string{}
 	e.At(3, func() { fired = append(fired, "kept") })
-	cancel := e.At(2, func() { fired = append(fired, "canceled") })
-	cancel()
+	h := e.At(2, func() { fired = append(fired, "canceled") })
+	h.Cancel()
+	h.Cancel()
+	var zero Handle
+	zero.Cancel()
 	e.Spawn("p", func(p *Proc) error { return p.Sleep(5) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
