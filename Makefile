@@ -4,7 +4,7 @@ PROF_OUT ?= imcprof-smoke.json
 CHAOS_OUT ?= chaos-smoke.json
 LINT_OUT ?= imclint-report.json
 
-.PHONY: check fmt build vet lint lint-vet test race bench microbench fuzz prof-smoke chaos-smoke tidy
+.PHONY: check fmt build vet lint lint-vet test race bench results microbench fuzz prof-smoke chaos-smoke tidy
 
 # check is the CI gate: check formatting, compile everything, vet, lint
 # the determinism invariants (in both driver modes), run the full test
@@ -77,6 +77,19 @@ chaos-smoke:
 # whole matrix; host performance is hostbench's.
 bench:
 	IMC_SCALE_BENCH=$${IMC_SCALE_BENCH:-1} $(GO) test -run TestScaleBench -count=1 -timeout 60m -v .
+
+# results is the gate for results_full.txt, the committed full-study
+# output that README and EXPERIMENTS quote: it reruns `imcbench all`
+# (5-12 minutes) and fails on any difference, after stripping the
+# `-- <name> generated in` wall-time lines from both sides. After an
+# intended model change, regenerate the file with
+# `go run ./cmd/imcbench all > results_full.txt`.
+results:
+	@set -e; got=$$(mktemp); want=$$(mktemp); trap 'rm -f "$$got" "$$got.all" "$$want"' EXIT; \
+	$(GO) run ./cmd/imcbench all > "$$got.all"; \
+	grep -v '^-- .* generated in' "$$got.all" > "$$got"; \
+	grep -v '^-- .* generated in' results_full.txt > "$$want"; \
+	diff -u "$$want" "$$got" && echo "results_full.txt reproduced"
 
 # microbench runs the per-figure testing.B benchmarks in quick mode,
 # the DIMES Get benchmark at 339 and 6810 writers, the telemetry

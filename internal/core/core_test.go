@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -26,11 +28,11 @@ func TestFig2aQuickShape(t *testing.T) {
 	if !strings.Contains(out, "simulation-only") || !strings.Contains(out, "MPI-IO") {
 		t.Fatalf("missing series:\n%s", out)
 	}
-	// Every cell parses as a time or a structured failure.
-	for _, row := range table.Rows {
-		for _, cell := range row[1:] {
-			if cell == "ERR" {
-				t.Fatalf("setup error in row %v", row)
+	// Every cell is a time or a classified failure.
+	for r, row := range table.Rows {
+		for c, cell := range row {
+			if _, ok := table.value(r, c); c > 0 && !ok && (!strings.HasPrefix(cell, "FAIL(") || cell == "FAIL(other)") {
+				t.Fatalf("cell %q is neither a time nor a classified failure in row %v", cell, row)
 			}
 		}
 	}
@@ -41,8 +43,8 @@ func TestFig2bLaplaceCoriSlowerThanTitan(t *testing.T) {
 	cori := Fig2(workflow.WorkloadLaplace, hpc.Cori(), quick)
 	// Compare the simulation-only rows: Cori's KNL cores run at 63.6% of
 	// Titan's frequency, so the compute-bound Laplace is slower.
-	tt := parseCell(t, titan.Rows[0][1])
-	tc := parseCell(t, cori.Rows[0][1])
+	tt := mustValue(t, titan, 0, 1)
+	tc := mustValue(t, cori, 0, 1)
 	if tc <= tt {
 		t.Fatalf("Cori sim-only %.2f <= Titan %.2f", tc, tt)
 	}
@@ -51,54 +53,24 @@ func TestFig2bLaplaceCoriSlowerThanTitan(t *testing.T) {
 	}
 }
 
-func parseCell(t *testing.T, cell string) float64 {
+// mustValue is the number behind cell (row, col), failing the test when
+// the cell shows none.
+func mustValue(t *testing.T, table *Table, row, col int) float64 {
 	t.Helper()
-	var v float64
-	if _, err := sscanf(cell, &v); err != nil {
-		t.Fatalf("cell %q is not a time", cell)
+	v, ok := table.value(row, col)
+	if !ok {
+		t.Fatalf("%s cell (%d,%d) shows no number: %v", table.ID, row, col, table.Rows)
 	}
 	return v
 }
 
-func sscanf(cell string, v *float64) (int, error) {
-	var parsed float64
-	var err error
-	n := 0
-	parsed, err = parseFloat(cell)
-	if err == nil {
-		*v = parsed
-		n = 1
+func almostEq(a, b, relTol float64) bool {
+	if a == b {
+		return true
 	}
-	return n, err
+	den := math.Max(math.Abs(a), math.Abs(b))
+	return math.Abs(a-b)/den <= relTol
 }
-
-func parseFloat(s string) (float64, error) {
-	var v float64
-	var frac, div float64 = 0, 1
-	seenDot := false
-	for _, c := range s {
-		switch {
-		case c >= '0' && c <= '9':
-			if seenDot {
-				div *= 10
-				frac = frac*10 + float64(c-'0')
-			} else {
-				v = v*10 + float64(c-'0')
-			}
-		case c == '.':
-			seenDot = true
-		default:
-			return 0, errParse
-		}
-	}
-	return v + frac/div, nil
-}
-
-var errParse = errStr("parse")
-
-type errStr string
-
-func (e errStr) Error() string { return string(e) }
 
 func TestFig3QuickHasRDMAFailureAt128MB(t *testing.T) {
 	full := Options{Steps: 1} // need the 128 MB point, so no Quick trim
@@ -145,12 +117,12 @@ func TestFig5MemoryShape(t *testing.T) {
 	}
 	lammps := tables[0]
 	var dsSim, decafSim float64
-	for _, row := range lammps.Rows {
+	for r, row := range lammps.Rows {
 		switch row[0] {
 		case "DataSpaces/native":
-			dsSim = parseCell(t, row[1])
+			dsSim = mustValue(t, lammps, r, 1)
 		case "Decaf":
-			decafSim = parseCell(t, row[1])
+			decafSim = mustValue(t, lammps, r, 1)
 		}
 	}
 	if dsSim < 380 || dsSim > 460 {
@@ -164,9 +136,9 @@ func TestFig5MemoryShape(t *testing.T) {
 
 func TestFig6SFCIndexDominates(t *testing.T) {
 	table := Fig6(quick)
-	last := table.Rows[len(table.Rows)-1]
-	ds := parseCell(t, last[1])
-	dimes := parseCell(t, last[2])
+	last := len(table.Rows) - 1
+	ds := mustValue(t, table, last, 1)
+	dimes := mustValue(t, table, last, 2)
 	if ds < 2000 {
 		t.Fatalf("DataSpaces SFC server = %.0f MB at 64 MB/proc, want multi-GB", ds)
 	}
@@ -178,9 +150,9 @@ func TestFig6SFCIndexDominates(t *testing.T) {
 func TestFig9MatchedLayoutWins(t *testing.T) {
 	table := Fig9(quick)
 	out := renderOK(t, table)
-	for _, row := range table.Rows {
-		mismatch := parseCell(t, row[1])
-		matched := parseCell(t, row[2])
+	for r, row := range table.Rows {
+		mismatch := mustValue(t, table, r, 1)
+		matched := mustValue(t, table, r, 2)
 		if matched >= mismatch {
 			t.Fatalf("matched layout not faster: %v\n%s", row, out)
 		}
@@ -189,8 +161,8 @@ func TestFig9MatchedLayoutWins(t *testing.T) {
 
 func TestFig11DecafServerMemoryDrops(t *testing.T) {
 	table := Fig11(quick)
-	first := parseCell(t, table.Rows[0][1])
-	last := parseCell(t, table.Rows[len(table.Rows)-1][1])
+	first := mustValue(t, table, 0, 1)
+	last := mustValue(t, table, len(table.Rows)-1, 1)
 	if last >= first/2 {
 		t.Fatalf("per-server memory %v -> %v, want a large drop", first, last)
 	}
@@ -198,8 +170,8 @@ func TestFig11DecafServerMemoryDrops(t *testing.T) {
 
 func TestFig12MoreServersHelpStaging(t *testing.T) {
 	table := Fig12(quick)
-	s1 := parseCell(t, table.Rows[0][2])
-	s2 := parseCell(t, table.Rows[1][2])
+	s1 := mustValue(t, table, 0, 2)
+	s2 := mustValue(t, table, 1, 2)
 	if s2 >= s1 {
 		t.Fatalf("staging time did not improve with servers: %v -> %v", s1, s2)
 	}
@@ -211,8 +183,15 @@ func TestFig13SharedModeGains(t *testing.T) {
 	if !strings.Contains(out, "FAIL(DRC-node-secure)") {
 		t.Fatalf("DataSpaces uGNI shared mode should be denied:\n%s", out)
 	}
-	if !strings.Contains(out, "FAIL(other)") && !strings.Contains(out, "Decaf") {
-		t.Fatalf("Decaf shared mode should fail:\n%s", out)
+	for _, table := range tables {
+		for r, row := range table.Rows {
+			if !strings.HasPrefix(row[0], "Decaf") {
+				continue
+			}
+			if _, ok := table.value(r, 2); ok || row[2] != "FAIL(no-heterogeneous-launch)" {
+				t.Fatalf("Decaf shared mode = %q, want FAIL(no-heterogeneous-launch):\n%s", row[2], out)
+			}
+		}
 	}
 }
 
@@ -295,8 +274,8 @@ func TestAblationNICShrinksPenalty(t *testing.T) {
 	if len(nic.Rows) < 2 {
 		t.Fatalf("rows: %v", nic.Rows)
 	}
-	slow := parseCell(t, strings.TrimSuffix(nic.Rows[0][3], "x"))
-	fast := parseCell(t, strings.TrimSuffix(nic.Rows[len(nic.Rows)-1][3], "x"))
+	slow := mustValue(t, nic, 0, 3)
+	fast := mustValue(t, nic, len(nic.Rows)-1, 3)
 	if fast >= slow {
 		t.Fatalf("penalty did not shrink with bandwidth: %v -> %v", slow, fast)
 	}
@@ -304,10 +283,10 @@ func TestAblationNICShrinksPenalty(t *testing.T) {
 
 func TestGPUStudyShowsTaxAndRecovery(t *testing.T) {
 	table := GPUStudy(Options{Quick: true, Steps: 2})
-	for _, row := range table.Rows {
-		cpu := parseCell(t, row[1])
-		staged := parseCell(t, row[2])
-		direct := parseCell(t, row[3])
+	for r, row := range table.Rows {
+		cpu := mustValue(t, table, r, 1)
+		staged := mustValue(t, table, r, 2)
+		direct := mustValue(t, table, r, 3)
 		if staged <= cpu {
 			t.Fatalf("%s: host staging should cost time (%v <= %v)", row[0], staged, cpu)
 		}
@@ -323,9 +302,9 @@ func TestChartRendersBars(t *testing.T) {
 		Title:  "demo",
 		Header: []string{"method", "time"},
 	}
-	tbl.AddRow("fast", "1.00")
-	tbl.AddRow("slow", "4.00")
-	tbl.AddRow("broken", "FAIL(x)")
+	tbl.AddRow(label("fast"), seconds(1))
+	tbl.AddRow(label("slow"), seconds(4))
+	tbl.AddRow(label("broken"), label("FAIL(x)"))
 	var buf bytes.Buffer
 	if err := tbl.Chart(&buf, 1); err != nil {
 		t.Fatal(err)
@@ -394,20 +373,78 @@ func TestResilienceCostOverheadOrdering(t *testing.T) {
 	if len(table.Rows) != 3 {
 		t.Fatalf("resilience-cost quick rows = %d, want 3", len(table.Rows))
 	}
-	for i, row := range table.Rows {
-		if row[1] == "ERR" || row[1] == "FAILED" {
-			t.Fatalf("row %d (%s) = %v", i, row[0], row)
-		}
+	for i := range table.Rows {
+		mustValue(t, table, i, 1)
 	}
 	// Replication must report replica traffic, checkpointing must report
 	// Lustre checkpoint traffic; the unprotected baseline neither.
-	if base := table.Rows[0]; base[3] != "0" || base[4] != "0" {
-		t.Fatalf("baseline row reports protection traffic: %v", base)
+	if mustValue(t, table, 0, 3) != 0 || mustValue(t, table, 0, 4) != 0 {
+		t.Fatalf("baseline row reports protection traffic: %v", table.Rows[0])
 	}
-	if repl := table.Rows[1]; repl[3] == "0" {
-		t.Fatalf("replication row reports no replicated bytes: %v", repl)
+	if mustValue(t, table, 1, 3) == 0 {
+		t.Fatalf("replication row reports no replicated bytes: %v", table.Rows[1])
 	}
-	if ckpt := table.Rows[2]; ckpt[4] == "0" {
-		t.Fatalf("checkpoint row reports no checkpoint bytes: %v", ckpt)
+	if mustValue(t, table, 2, 4) == 0 {
+		t.Fatalf("checkpoint row reports no checkpoint bytes: %v", table.Rows[2])
+	}
+}
+
+func TestTableValueIsUnrounded(t *testing.T) {
+	tbl := &Table{ID: "demo"}
+	tbl.AddRow(label("a"), seconds(1.23456), mb(3<<19), ratio(1.4949, 2), failed(errors.New("x")))
+	if got := tbl.Rows[0]; strings.Join(got, " ") != "a 1.23 2 1.49x FAIL(other)" {
+		t.Fatalf("rendered row = %q", got)
+	}
+	for col, want := range map[int]float64{1: 1.23456, 2: 1.5, 3: 1.4949} {
+		if v, ok := tbl.value(0, col); !ok || v != want {
+			t.Fatalf("value(0,%d) = %v,%v, want %v", col, v, ok, want)
+		}
+	}
+	for _, rc := range [][2]int{{0, 0}, {0, 4}, {0, 5}, {1, 1}, {-1, 1}} {
+		if v, ok := tbl.value(rc[0], rc[1]); ok {
+			t.Fatalf("value%v = %v, want no number", rc, v)
+		}
+	}
+}
+
+func TestSetupErrorNeverRendersRan(t *testing.T) {
+	setup := errors.New("config rejected")
+	modelled := workflow.Result{Failed: true, FailErr: hpc.ErrOutOfNodeMemory, EndToEnd: 12}
+	for _, c := range []struct {
+		res  workflow.Result
+		err  error
+		want string
+	}{
+		{workflow.Result{}, setup, "FAIL(other)"},
+		{workflow.Result{EndToEnd: 3}, setup, "FAIL(other)"},
+		{modelled, nil, "FAIL(out-of-main-memory)"},
+		{workflow.Result{Failed: true}, nil, "FAIL(other)"},
+	} {
+		for _, cell := range []Cell{outcome(c.res, c.err), endToEnd(c.res, c.err)} {
+			if _, ok := cell.value(); cell.text != c.want || ok {
+				t.Fatalf("outcome of setup error %v, failure %v = %q (number %v), want %q", c.err, c.res.FailErr, cell.text, ok, c.want)
+			}
+		}
+	}
+	if got := outcome(workflow.Result{EndToEnd: 17.125}, nil).text; got != "ran (17.12s)" {
+		t.Fatalf("completed run = %q", got)
+	}
+	if got := observe(workflow.Result{}, setup); got != "setup error: config rejected" {
+		t.Fatalf("Table IV setup error = %q", got)
+	}
+	if got := observe(modelled, nil); got != "FAIL(out-of-main-memory)" {
+		t.Fatalf("Table IV modelled failure = %q", got)
+	}
+}
+
+func TestFinding1NotVerifiedWhenRunsFail(t *testing.T) {
+	oom := failed(hpc.ErrOutOfNodeMemory)
+	for _, c := range [][2]Cell{{seconds(40), oom}, {oom, seconds(30)}, {oom, oom}} {
+		if f := finding1(c[0], c[1]); f.Verified || f.Detail != "runs failed" {
+			t.Fatalf("finding1(%q, %q) = verified %v (%s), want unverified", c[0].text, c[1].text, f.Verified, f.Detail)
+		}
+	}
+	if f := finding1(seconds(40), seconds(30)); !f.Verified {
+		t.Fatalf("DataSpaces slower than MPI-IO not verified: %s", f.Detail)
 	}
 }

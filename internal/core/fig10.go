@@ -35,14 +35,14 @@ func Fig10(o Options) []*Table {
 			{"DataSpaces/uGNI", workflow.MethodDataSpacesNative, transport.ModeRDMA},
 			{"DataSpaces/socket", workflow.MethodDataSpacesNative, transport.ModeSocket},
 		} {
-			row := []string{se.name}
+			row := []Cell{label(se.name)}
 			for _, sc := range scales {
 				servers := 0
 				if wl == workflow.WorkloadLaplace && se.method == workflow.MethodDataSpacesNative &&
 					se.mode == transport.ModeRDMA {
 					servers = sc.Ana / 4 // the doubled-server mitigation (Fig 3)
 				}
-				res, err := workflow.Run(workflow.Config{
+				row = append(row, endToEnd(workflow.Run(workflow.Config{
 					Machine:       hpc.Titan(),
 					Method:        se.method,
 					Workload:      wl,
@@ -51,15 +51,7 @@ func Fig10(o Options) []*Table {
 					Steps:         o.steps(),
 					TransportMode: se.mode,
 					Servers:       servers,
-				})
-				switch {
-				case err != nil:
-					row = append(row, "ERR")
-				case res.Failed:
-					row = append(row, failCell(res.FailErr))
-				default:
-					row = append(row, seconds(res.EndToEnd))
-				}
+				})))
 			}
 			t.AddRow(row...)
 		}

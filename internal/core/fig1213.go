@@ -23,10 +23,6 @@ func Fig12(o Options) *Table {
 	if o.Quick {
 		counts = []int{2, 4}
 	}
-	type point struct {
-		e2e, staging float64
-	}
-	var pts []point
 	for _, n := range counts {
 		res, err := workflow.Run(workflow.Config{
 			Machine:       hpc.Titan(),
@@ -38,17 +34,19 @@ func Fig12(o Options) *Table {
 			Servers:       n,
 			TransportMode: transport.ModeSocket,
 		})
-		if err != nil || res.Failed {
-			t.AddRow(itoa(n), failCell(res.FailErr), "-")
+		if f := runFailure(res, err); f != nil {
+			t.AddRow(count(n), failed(f), dash)
 			continue
 		}
-		staging := res.PutTime + res.GetTime
-		pts = append(pts, point{e2e: res.EndToEnd, staging: staging})
-		t.AddRow(itoa(n), seconds(res.EndToEnd), seconds(staging))
+		t.AddRow(count(n), seconds(res.EndToEnd), seconds(res.PutTime+res.GetTime))
 	}
-	if len(pts) >= 2 {
+	e0, ok0 := t.value(0, 1)
+	e1, ok1 := t.value(1, 1)
+	if ok0 && ok1 {
+		s0, _ := t.value(0, 2)
+		s1, _ := t.value(1, 2)
 		t.AddNote("doubling the servers improves end-to-end by %.1f%% (paper: ~5.4%%) and staging by %.1f%% (paper: up to 20.1%%)",
-			100*(1-pts[1].e2e/pts[0].e2e), 100*(1-pts[1].staging/pts[0].staging))
+			100*(1-e1/e0), 100*(1-s1/s0))
 	}
 	return t
 }
@@ -85,28 +83,14 @@ func Fig13(o Options) []*Table {
 				AnaProcs: 128,
 				Steps:    o.steps(),
 			}
-			sep, err := workflow.Run(base)
-			sepCell := "ERR"
-			if err == nil && !sep.Failed {
-				sepCell = seconds(sep.EndToEnd)
-			} else if err == nil {
-				sepCell = failCell(sep.FailErr)
-			}
+			sep := endToEnd(workflow.Run(base))
 			shared := base
 			shared.SharedNode = true
 			shared.TransportMode = se.mode
-			sh, err := workflow.Run(shared)
-			shCell := "ERR"
-			improvement := "-"
-			if err == nil && !sh.Failed {
-				shCell = seconds(sh.EndToEnd)
-				if sep.EndToEnd > 0 && !sep.Failed {
-					improvement = fmt.Sprintf("%.1f%%", 100*(1-sh.EndToEnd/sep.EndToEnd))
-				}
-			} else if err == nil {
-				shCell = failCell(sh.FailErr)
-			}
-			t.AddRow(se.name, sepCell, shCell, improvement)
+			sh := endToEnd(workflow.Run(shared))
+			t.AddRow(label(se.name), sep, sh, derive(sep, sh, func(sep, sh float64) Cell {
+				return percent(100 * (1 - sh/sep))
+			}))
 		}
 		t.AddNote("paper: shared mode improves Flexpath by 12.7%%/17.0%% and DataSpaces by 11.0%%/8.9%% (LAMMPS/Laplace); uGNI shared mode is denied by DRC; Decaf cannot allocate resources (Finding 5)")
 		out = append(out, t)

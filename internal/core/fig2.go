@@ -18,7 +18,7 @@ func Fig2(workload workflow.WorkloadKind, machine hpc.Spec, o Options) *Table {
 	}
 	t.Header = append([]string{"method"}, scaleHeaders(scales)...)
 	for _, method := range Fig2Methods(o) {
-		row := []string{method.String()}
+		row := []Cell{label(method.String())}
 		for _, sc := range scales {
 			servers := 0
 			if workload == workflow.WorkloadLaplace && machine.Name == "Titan" &&
@@ -32,7 +32,7 @@ func Fig2(workload workflow.WorkloadKind, machine hpc.Spec, o Options) *Table {
 					servers = 1
 				}
 			}
-			res, err := workflow.Run(workflow.Config{
+			row = append(row, endToEnd(workflow.Run(workflow.Config{
 				Machine:  machine,
 				Method:   method,
 				Workload: workload,
@@ -40,15 +40,7 @@ func Fig2(workload workflow.WorkloadKind, machine hpc.Spec, o Options) *Table {
 				AnaProcs: sc.Ana,
 				Steps:    o.steps(),
 				Servers:  servers,
-			})
-			switch {
-			case err != nil:
-				row = append(row, "ERR")
-			case res.Failed:
-				row = append(row, failCell(res.FailErr))
-			default:
-				row = append(row, seconds(res.EndToEnd))
-			}
+			})))
 		}
 		t.AddRow(row...)
 	}

@@ -63,9 +63,9 @@ func Fig3(o Options) *Table {
 		{"MPI-IO", workflow.MethodMPIIO, 0},
 	}
 	for _, se := range all {
-		row := []string{se.name}
+		row := []Cell{label(se.name)}
 		for _, size := range sizes {
-			res, err := workflow.Run(workflow.Config{
+			row = append(row, endToEnd(workflow.Run(workflow.Config{
 				Machine:     machine,
 				Method:      se.method,
 				Workload:    workflow.WorkloadLaplace,
@@ -75,15 +75,7 @@ func Fig3(o Options) *Table {
 				LaplaceRows: size.rows,
 				LaplaceCols: size.cols,
 				Servers:     se.servers,
-			})
-			switch {
-			case err != nil:
-				row = append(row, "ERR")
-			case res.Failed:
-				row = append(row, failCell(res.FailErr))
-			default:
-				row = append(row, seconds(res.EndToEnd))
-			}
+			})))
 		}
 		t.AddRow(row...)
 	}

@@ -28,7 +28,7 @@ func Fig4(o Options) *Table {
 		e := sim.NewEngine()
 		dom := rdma.NewDomain(e, "probe", spec.RDMAMemBytes, spec.RDMAMaxHandles)
 		var regs []*rdma.Region
-		count := 0
+		n := 0
 		limit := ""
 		for {
 			r, err := dom.Register(size)
@@ -37,12 +37,12 @@ func Fig4(o Options) *Table {
 				break
 			}
 			regs = append(regs, r)
-			count++
+			n++
 		}
 		for _, r := range regs {
 			r.Deregister()
 		}
-		t.AddRow(sizeLabel(size), itoa(count), limit)
+		t.AddRow(label(sizeLabel(size)), count(n), label(limit))
 	}
 	t.AddNote("paper: at most 3,675 handlers for requests < 512 KB; 1,843 MB capacity bound above")
 	return t

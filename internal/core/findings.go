@@ -29,26 +29,15 @@ func Findings(o Options) []Finding {
 
 	// Finding 1: in-memory staging is not always faster than file I/O —
 	// DataSpaces under the N-to-1 mismatch loses to MPI-IO at scale.
-	f1 := Finding{Name: "1: in-memory not always faster", DataSpaces: "+", DIMES: "-", Flexpath: "-", Decaf: "-"}
-	ds, err1 := workflow.Run(workflow.Config{
-		Machine: hpc.Titan(), Method: workflow.MethodDataSpacesNative,
-		Workload: workflow.WorkloadLAMMPS, SimProcs: 1024, AnaProcs: 512, Steps: steps,
-	})
-	io, err2 := workflow.Run(workflow.Config{
-		Machine: hpc.Titan(), Method: workflow.MethodMPIIO,
-		Workload: workflow.WorkloadLAMMPS, SimProcs: 1024, AnaProcs: 512, Steps: steps,
-	})
-	switch {
-	case err1 != nil || err2 != nil || ds.Failed || io.Failed:
-		f1.Detail = "runs failed"
-	case ds.EndToEnd > io.EndToEnd:
-		f1.Verified = true
-		f1.Detail = fmt.Sprintf("DataSpaces %.1fs > MPI-IO %.1fs at (1024,512)", ds.EndToEnd, io.EndToEnd)
-	default:
-		f1.Detail = fmt.Sprintf("DataSpaces %.1fs <= MPI-IO %.1fs", ds.EndToEnd, io.EndToEnd)
-	}
-	f1.Verified = f1.Verified || ds.EndToEnd > io.EndToEnd
-	out = append(out, f1)
+	out = append(out, finding1(
+		endToEnd(workflow.Run(workflow.Config{
+			Machine: hpc.Titan(), Method: workflow.MethodDataSpacesNative,
+			Workload: workflow.WorkloadLAMMPS, SimProcs: 1024, AnaProcs: 512, Steps: steps,
+		})),
+		endToEnd(workflow.Run(workflow.Config{
+			Machine: hpc.Titan(), Method: workflow.MethodMPIIO,
+			Workload: workflow.WorkloadLAMMPS, SimProcs: 1024, AnaProcs: 512, Steps: steps,
+		}))))
 
 	// Finding 2: high-level data abstraction is memory-expensive — the
 	// Decaf dataflow footprint is ~7x raw; DataSpaces conditionally (SFC).
@@ -57,7 +46,7 @@ func Findings(o Options) []Finding {
 		Machine: hpc.Titan(), Method: workflow.MethodDecaf,
 		Workload: workflow.WorkloadLaplace, SimProcs: 64, AnaProcs: 32, Steps: steps,
 	})
-	if err == nil && !dec.Failed {
+	if runFailure(dec, err) == nil {
 		// Default Decaf provisioning: one dataflow rank per analytics proc.
 		raw := int64(64) * (128 << 20) / 32
 		ratio := float64(dec.ServerPeakBytes) / float64(raw)
@@ -70,22 +59,16 @@ func Findings(o Options) []Finding {
 
 	// Finding 3: decomposition mismatch causes N-to-1 staging access.
 	f3 := Finding{Name: "3: layout mismatch -> N-to-1", DataSpaces: "+", DIMES: "-", Flexpath: "-", Decaf: "-"}
-	var times [2]float64
-	ok := true
+	var times [2]Cell
 	for i, layout := range []synthetic.Layout{synthetic.LayoutMismatch, synthetic.LayoutMatched} {
-		res, err := workflow.Run(workflow.Config{
+		times[i] = endToEnd(workflow.Run(workflow.Config{
 			Machine: hpc.Titan(), Method: workflow.MethodDataSpacesNative,
 			Workload: workflow.WorkloadSynthetic, SimProcs: 64, AnaProcs: 32, Steps: steps,
 			SyntheticLayout: layout,
-		})
-		if err != nil || res.Failed {
-			ok = false
-			break
-		}
-		times[i] = res.EndToEnd
+		}))
 	}
-	if ok && times[1] > 0 {
-		imp := times[0] / times[1]
+	if mismatch, matched, ok := both(times[0], times[1]); ok {
+		imp := mismatch / matched
 		f3.Verified = imp > 1.8 // ~2x at this scale; grows with server count (Fig 9)
 		f3.Detail = fmt.Sprintf("matched layout %.1fx faster (paper: up to 5.3x)", imp)
 	} else {
@@ -95,17 +78,17 @@ func Findings(o Options) []Finding {
 
 	// Finding 4: low-level RDMA beats sockets.
 	f4 := Finding{Name: "4: native RDMA beats sockets", DataSpaces: "+", DIMES: "+", Flexpath: "+", Decaf: "-"}
-	rdmaRes, err1 := workflow.Run(workflow.Config{
+	rdmaRes := endToEnd(workflow.Run(workflow.Config{
 		Machine: hpc.Titan(), Method: workflow.MethodDataSpacesNative,
 		Workload: workflow.WorkloadLAMMPS, SimProcs: 128, AnaProcs: 64, Steps: steps,
-	})
-	sockRes, err2 := workflow.Run(workflow.Config{
+	}))
+	sockRes := endToEnd(workflow.Run(workflow.Config{
 		Machine: hpc.Titan(), Method: workflow.MethodDataSpacesNative,
 		Workload: workflow.WorkloadLAMMPS, SimProcs: 128, AnaProcs: 64, Steps: steps,
 		TransportMode: transport.ModeSocket,
-	})
-	if err1 == nil && err2 == nil && !rdmaRes.Failed && !sockRes.Failed {
-		gain := 100 * (1 - rdmaRes.EndToEnd/sockRes.EndToEnd)
+	}))
+	if rdma, sock, ok := both(rdmaRes, sockRes); ok {
+		gain := 100 * (1 - rdma/sock)
 		f4.Verified = gain > 0
 		f4.Detail = fmt.Sprintf("uGNI %.1f%% faster than sockets (paper: up to 17.3%%)", gain)
 	} else {
@@ -123,21 +106,22 @@ func Findings(o Options) []Finding {
 	// Laplace's matched decomposition gives the colocated deployment real
 	// locality (every rank's staging server sits on its own node), so the
 	// bus-speed copies show up end to end.
-	sep, err1 := workflow.Run(workflow.Config{
+	sep := endToEnd(workflow.Run(workflow.Config{
 		Machine: hpc.Cori(), Method: workflow.MethodDataSpacesNative,
 		Workload: workflow.WorkloadLaplace, SimProcs: 256, AnaProcs: 128, Steps: steps,
-	})
-	sh, err2 := workflow.Run(workflow.Config{
+	}))
+	sh := endToEnd(workflow.Run(workflow.Config{
 		Machine: hpc.Cori(), Method: workflow.MethodDataSpacesNative,
 		Workload: workflow.WorkloadLaplace, SimProcs: 256, AnaProcs: 128, Steps: steps,
 		SharedNode: true, TransportMode: transport.ModeSocket,
-	})
+	}))
+	sepT, shT, ok := both(sep, sh)
 	if errTitan == nil {
 		f5.Detail = "Titan accepted node sharing"
-	} else if err1 == nil && err2 == nil && !sep.Failed && !sh.Failed && sh.EndToEnd < sep.EndToEnd {
+	} else if ok && shT < sepT {
 		f5.Verified = true
 		f5.Detail = fmt.Sprintf("Titan rejects sharing; Cori shared mode %.1f%% faster (paper: ~10%%)",
-			100*(1-sh.EndToEnd/sep.EndToEnd))
+			100*(1-shT/sepT))
 	} else {
 		f5.Detail = "Cori shared-mode comparison failed"
 	}
@@ -159,7 +143,7 @@ func Findings(o Options) []Finding {
 		Workload: workflow.WorkloadLAMMPS, SimProcs: 32, AnaProcs: 16, Steps: 1,
 		TransportMode: transport.ModeSocket,
 	})
-	f7.Verified = err == nil && !sock.Failed && sock.DRCRequests == 0
+	f7.Verified = runFailure(sock, err) == nil && sock.DRCRequests == 0
 	f7.Detail = "socket fallback runs without touching DRC or uGNI"
 	out = append(out, f7)
 
@@ -171,9 +155,27 @@ func Findings(o Options) []Finding {
 		Workload: workflow.WorkloadLaplace, SimProcs: 64, AnaProcs: 32, Steps: 1,
 		Servers: 8, ServersPerNode: 8,
 	})
-	f8.Verified = err == nil && oom.Failed && errors.Is(oom.FailErr, hpc.ErrOutOfNodeMemory)
+	f8.Verified = errors.Is(runFailure(oom, err), hpc.ErrOutOfNodeMemory)
 	f8.Detail = "densely packed Decaf dataflow ranks exhaust node memory"
 	out = append(out, f8)
 
 	return out
+}
+
+// finding1 judges Finding 1 from the end-to-end times of DataSpaces and
+// MPI-IO at (1024,512) on Titan: verified only when both ran and
+// DataSpaces was slower.
+func finding1(ds, mpiio Cell) Finding {
+	f := Finding{Name: "1: in-memory not always faster", DataSpaces: "+", DIMES: "-", Flexpath: "-", Decaf: "-"}
+	dsT, ioT, ok := both(ds, mpiio)
+	switch {
+	case !ok:
+		f.Detail = "runs failed"
+	case dsT > ioT:
+		f.Verified = true
+		f.Detail = fmt.Sprintf("DataSpaces %.1fs > MPI-IO %.1fs at (1024,512)", dsT, ioT)
+	default:
+		f.Detail = fmt.Sprintf("DataSpaces %.1fs <= MPI-IO %.1fs", dsT, ioT)
+	}
+	return f
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/imcstudy/imcstudy/internal/hpc"
 	"github.com/imcstudy/imcstudy/internal/workflow"
 )
@@ -23,14 +21,13 @@ func GPUStudy(o Options) *Table {
 		scale = Scale{64, 32}
 	}
 	for _, method := range []workflow.Method{workflow.MethodFlexpath, workflow.MethodDataSpacesNative} {
-		var cells [3]float64
-		ok := true
-		for i, mode := range []workflow.GPUMode{workflow.GPUOff, workflow.GPUHostStaged, workflow.GPUDirect} {
+		row := []Cell{label(method.String())}
+		for _, mode := range []workflow.GPUMode{workflow.GPUOff, workflow.GPUHostStaged, workflow.GPUDirect} {
 			servers := 0
 			if method == workflow.MethodDataSpacesNative {
 				servers = scale.Ana / 4 // the Fig 3 mitigation for 128 MB/proc on Titan
 			}
-			res, err := workflow.Run(workflow.Config{
+			row = append(row, endToEnd(workflow.Run(workflow.Config{
 				Machine:  hpc.Titan(),
 				Method:   method,
 				Workload: workflow.WorkloadLaplace,
@@ -39,20 +36,11 @@ func GPUStudy(o Options) *Table {
 				Steps:    o.steps(),
 				GPU:      mode,
 				Servers:  servers,
-			})
-			if err != nil || res.Failed {
-				ok = false
-				break
-			}
-			cells[i] = res.EndToEnd
+			})))
 		}
-		if !ok {
-			t.AddRow(method.String(), "FAIL", "FAIL", "FAIL", "-")
-			continue
-		}
-		t.AddRow(method.String(),
-			seconds(cells[0]), seconds(cells[1]), seconds(cells[2]),
-			fmt.Sprintf("+%.1f%%", 100*(cells[1]/cells[0]-1)))
+		t.AddRow(append(row, derive(row[1], row[2], func(cpu, staged float64) Cell {
+			return increase(100 * (staged/cpu - 1))
+		}))...)
 	}
 	t.AddNote("host staging funnels every rank's 128 MB through the node's 8 GB/s PCIe link; an NVLink-class direct path (50 GB/s) recovers most of the tax — the 'attractive area for future research' of Section IV-B")
 	return t

@@ -23,12 +23,12 @@ func Fig8(Options) *Table {
 	for _, layout := range []synthetic.Layout{synthetic.LayoutMismatch, synthetic.LayoutMatched} {
 		global, err := synthetic.GlobalBox(layout, writers)
 		if err != nil {
-			t.AddRow(layout.String(), "-", "ERR")
+			t.AddRow(label(layout.String()), dash, failed(err))
 			continue
 		}
 		regions, err := ndarray.StagingRegions(global, servers)
 		if err != nil {
-			t.AddRow(layout.String(), "-", "ERR")
+			t.AddRow(label(layout.String()), dash, failed(err))
 			continue
 		}
 		for w := 0; w < writers; w++ {
@@ -42,7 +42,7 @@ func Fig8(Options) *Table {
 					seq = append(seq, fmt.Sprintf("srv%d", ndarray.RegionServer(i, servers)+1))
 				}
 			}
-			t.AddRow(layout.String(), fmt.Sprintf("S-%d", w+1), strings.Join(seq, " -> "))
+			t.AddRow(labels(layout.String(), fmt.Sprintf("S-%d", w+1), strings.Join(seq, " -> "))...)
 		}
 	}
 	t.AddNote("mismatch: every writer walks every server in the same order (N-to-1, Fig 8a); matched: each writer stays on its own server (N-to-N, Fig 8b)")
@@ -64,12 +64,10 @@ func Fig9(o Options) *Table {
 	if o.Quick {
 		scales = scales[:2]
 	}
-	best := 0.0
 	for _, sc := range scales {
-		var times [2]float64
-		ok := true
+		var times [2]Cell
 		for i, layout := range []synthetic.Layout{synthetic.LayoutMismatch, synthetic.LayoutMatched} {
-			res, err := workflow.Run(workflow.Config{
+			times[i] = endToEnd(workflow.Run(workflow.Config{
 				Machine:         hpc.Titan(),
 				Method:          workflow.MethodDataSpacesNative,
 				Workload:        workflow.WorkloadSynthetic,
@@ -77,22 +75,17 @@ func Fig9(o Options) *Table {
 				AnaProcs:        sc.Ana,
 				Steps:           o.steps(),
 				SyntheticLayout: layout,
-			})
-			if err != nil || res.Failed {
-				ok = false
-				break
-			}
-			times[i] = res.EndToEnd
+			}))
 		}
-		if !ok {
-			t.AddRow(sc.String(), "FAIL", "FAIL", "-")
-			continue
-		}
-		imp := times[0] / times[1]
-		if imp > best {
+		t.AddRow(label(sc.String()), times[0], times[1], derive(times[0], times[1], func(mismatch, matched float64) Cell {
+			return ratio(mismatch/matched, 1)
+		}))
+	}
+	best := 0.0
+	for r := range t.Rows {
+		if imp, ok := t.value(r, 3); ok && imp > best {
 			best = imp
 		}
-		t.AddRow(sc.String(), seconds(times[0]), seconds(times[1]), fmt.Sprintf("%.1fx", imp))
 	}
 	t.AddNote("best improvement %.1fx (paper: up to 5.3x); the gain grows with the staging-server count", best)
 	return t

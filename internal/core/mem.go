@@ -41,8 +41,8 @@ func Fig5(o Options) []*Table {
 				AnaProcs: 16,
 				Steps:    o.steps(),
 			})
-			if err != nil || res.Failed {
-				t.AddRow(method.String(), failCell(res.FailErr))
+			if f := runFailure(res, err); f != nil {
+				t.AddRow(label(method.String()), failed(f))
 				continue
 			}
 			sim0 := res.Tracker.Component("sim-0")
@@ -50,13 +50,13 @@ func Fig5(o Options) []*Table {
 			for _, c := range res.Tracker.Components() {
 				samples += len(c.Series())
 			}
-			t.AddRow(method.String(),
+			t.AddRow(label(method.String()),
 				mb(res.SimPeakBytes),
 				mb(sim0.PeakOf("compute")),
 				mb(sim0.PeakOf("library")+sim0.PeakOf("adios-buffer")+sim0.PeakOf("staging")),
 				mb(res.AnaPeakBytes),
 				mb(res.ServerPeakBytes),
-				itoa(samples),
+				count(samples),
 			)
 		}
 		t.AddNote("paper: DS/DIMES/Flexpath LAMMPS ranks ~400 MB (173 compute + 227 library); Decaf ~40%% more; DataSpaces and Decaf servers stage up to ~560 MB")
@@ -83,15 +83,15 @@ func fig5Series(o Options) *Table {
 		AnaProcs: 16,
 		Steps:    o.steps(),
 	})
-	if err != nil || res.Failed {
-		t.AddRow("-", failCell(res.FailErr), "-", "-")
+	if f := runFailure(res, err); f != nil {
+		t.AddRow(dash, failed(f), dash, dash)
 		return t
 	}
 	comps := []string{"sim-0", "ana-0", "dataspaces-server-0"}
 	buckets := 12
 	for b := 0; b <= buckets; b++ {
 		at := res.EndToEnd * float64(b) / float64(buckets)
-		row := []string{fmt.Sprintf("%.1f", at)}
+		row := []Cell{decimal(at, 1)}
 		for _, name := range comps {
 			row = append(row, mb(sampleAt(res.Tracker.Component(name).Series(), at)))
 		}
@@ -128,7 +128,7 @@ func Fig6(o Options) *Table {
 		sizes = []fig3Size{{256, 256}, {2048, 2048}, {4096, 2048}}
 	}
 	for _, size := range sizes {
-		row := []string{size.label()}
+		row := []Cell{label(size.label())}
 		for _, method := range []workflow.Method{workflow.MethodDataSpacesNative, workflow.MethodDIMESNative} {
 			hash := dataspaces.HashVersion(0)
 			if method == workflow.MethodDataSpacesNative {
@@ -146,12 +146,9 @@ func Fig6(o Options) *Table {
 				Servers:     4, // one staging server per 16 simulation procs
 				Hash:        hash,
 			})
-			switch {
-			case err != nil:
-				row = append(row, "ERR")
-			case res.Failed:
-				row = append(row, failCell(res.FailErr))
-			default:
+			if f := runFailure(res, err); f != nil {
+				row = append(row, failed(f))
+			} else {
 				row = append(row, mb(res.ServerPeakBytes))
 			}
 		}
@@ -179,14 +176,14 @@ func Fig7(o Options) *Table {
 			Steps:    o.steps(),
 			Servers:  fig7Servers(method),
 		})
-		if err != nil || res.Failed {
-			t.AddRow(method.String(), "-", "-", failCell(res.FailErr))
+		if f := runFailure(res, err); f != nil {
+			t.AddRow(label(method.String()), dash, dash, failed(f))
 			continue
 		}
 		for _, compName := range []string{"sim-0", method.ServerPrefix() + "-0"} {
 			comp := res.Tracker.Component(compName)
 			for _, kind := range comp.Kinds() {
-				t.AddRow(method.String(), compName, kind, mb(comp.PeakOf(kind)))
+				t.AddRow(label(method.String()), label(compName), label(kind), mb(comp.PeakOf(kind)))
 			}
 		}
 	}
@@ -214,11 +211,7 @@ func Fig11(o Options) *Table {
 	if o.Quick {
 		counts = []int{8, 32}
 	}
-	var first, last struct {
-		mem int64
-		e2e float64
-	}
-	for i, n := range counts {
+	for _, n := range counts {
 		res, err := workflow.Run(workflow.Config{
 			Machine:  hpc.Titan(),
 			Method:   workflow.MethodDecaf,
@@ -228,20 +221,20 @@ func Fig11(o Options) *Table {
 			Steps:    o.steps(),
 			Servers:  n,
 		})
-		if err != nil || res.Failed {
-			t.AddRow(itoa(n), failCell(res.FailErr), "-")
+		if f := runFailure(res, err); f != nil {
+			t.AddRow(count(n), failed(f), dash)
 			continue
 		}
-		t.AddRow(itoa(n), mb(res.ServerPeakBytes), seconds(res.EndToEnd))
-		if i == 0 {
-			first.mem, first.e2e = res.ServerPeakBytes, res.EndToEnd
-		}
-		last.mem, last.e2e = res.ServerPeakBytes, res.EndToEnd
+		t.AddRow(count(n), mb(res.ServerPeakBytes), seconds(res.EndToEnd))
 	}
-	if first.mem > 0 && last.mem > 0 {
+	last := len(t.Rows) - 1
+	mem0, ok0 := t.value(0, 1)
+	mem1, ok1 := t.value(last, 1)
+	if ok0 && ok1 && mem0 > 0 && mem1 > 0 {
+		e0, _ := t.value(0, 2)
+		e1, _ := t.value(last, 2)
 		t.AddNote("per-server memory drops %.1f%% from %d to %d servers (paper: 83.5%%); end-to-end changes %.1f%% (paper: 5.5%%)",
-			100*(1-float64(last.mem)/float64(first.mem)), counts[0], counts[len(counts)-1],
-			100*(1-last.e2e/first.e2e))
+			100*(1-mem1/mem0), counts[0], counts[last], 100*(1-e1/e0))
 	}
 	return t
 }

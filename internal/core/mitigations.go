@@ -29,19 +29,14 @@ func Mitigations(o Options) *Table {
 		Workload: workflow.WorkloadLaplace,
 		SimProcs: 64, AnaProcs: 32, Steps: o.steps(),
 	}
-	baseline, _ := workflow.Run(base)
+	baseline := outcome(workflow.Run(base))
 	mitigated := base
 	mitigated.RDMAWaitRetry = true
-	fixed, _ := workflow.Run(mitigated)
+	fixed := outcome(workflow.Run(mitigated))
 	spread := base
 	spread.Servers = 8
-	reference, _ := workflow.Run(spread)
-	cost := "-"
-	if !fixed.Failed && !reference.Failed && reference.EndToEnd > 0 {
-		cost = seconds(fixed.EndToEnd) + "s vs " + seconds(reference.EndToEnd) + "s with 2x servers"
-	}
-	t.AddRow("out of RDMA memory (Fig 3, 128 MB/proc)",
-		cellFor(baseline), cellFor(fixed), cost)
+	t.AddRow(label("out of RDMA memory (Fig 3, 128 MB/proc)"), baseline, fixed,
+		versus(fixed, endToEnd(workflow.Run(spread)), "with 2x servers"))
 
 	// 2. Out of sockets -> socket pool. The (2048,1024) LAMMPS run over
 	// TCP exhausts server descriptors; capping every endpoint's pool keeps
@@ -53,50 +48,42 @@ func Mitigations(o Options) *Table {
 		SimProcs: 2048, AnaProcs: 1024, Steps: 1,
 		TransportMode: transport.ModeSocket,
 	}
-	sockFail, _ := workflow.Run(sockBase)
+	sockFail := outcome(workflow.Run(sockBase))
 	sockPool := sockBase
 	sockPool.SocketPoolSize = 64
-	sockOK, _ := workflow.Run(sockPool)
+	sockOK := outcome(workflow.Run(sockPool))
 	rdmaRef := sockBase
 	rdmaRef.TransportMode = transport.ModeRDMA
-	rdmaRes, _ := workflow.Run(rdmaRef)
-	cost = "-"
-	if !sockOK.Failed && !rdmaRes.Failed && rdmaRes.EndToEnd > 0 {
-		cost = seconds(sockOK.EndToEnd) + "s vs " + seconds(rdmaRes.EndToEnd) + "s over uGNI"
-	}
-	t.AddRow("out of sockets (Sec III-B5, (2048,1024))",
-		cellFor(sockFail), cellFor(sockOK), cost)
+	t.AddRow(label("out of sockets (Sec III-B5, (2048,1024))"), sockFail, sockOK,
+		versus(sockOK, endToEnd(workflow.Run(rdmaRef)), "over uGNI"))
 
 	// 3. Out of DRC -> distributed DRC. The (8192,4096) start-up storm
 	// overloads the single credential server; four shards absorb it.
-	drcScale := Scale{8192, 4096}
-	if o.Quick {
-		drcScale = Scale{8192, 4096} // the storm is the experiment; keep it
-	}
+	// Only the full scale storms, so quick mode keeps it.
 	drcBase := workflow.Config{
 		Machine:  hpc.Cori(),
 		Method:   workflow.MethodDIMESNative,
 		Workload: workflow.WorkloadLAMMPS,
-		SimProcs: drcScale.Sim, AnaProcs: drcScale.Ana, Steps: 1,
+		SimProcs: 8192, AnaProcs: 4096, Steps: 1,
 	}
-	drcFail, _ := workflow.Run(drcBase)
+	drcFail := outcome(workflow.Run(drcBase))
 	drcSharded := drcBase
 	drcSharded.DRCShards = 4
-	drcOK, _ := workflow.Run(drcSharded)
-	cost = "-"
-	if !drcOK.Failed {
-		cost = "start-up spread over 4 shards"
+	drcOK := outcome(workflow.Run(drcSharded))
+	cost := dash
+	if _, ok := drcOK.value(); ok {
+		cost = label("start-up spread over 4 shards")
 	}
-	t.AddRow("out of DRC (Sec III-B1, (8192,4096) on Cori)",
-		cellFor(drcFail), cellFor(drcOK), cost)
+	t.AddRow(label("out of DRC (Sec III-B1, (8192,4096) on Cori)"), drcFail, drcOK, cost)
 
 	t.AddNote("each mitigation is implemented in the model (transport.WithWaitRetry, transport.WithSocketPool, rdma.DRCConfig.Shards) and turned on per run")
 	return t
 }
 
-func cellFor(res workflow.Result) string {
-	if res.Failed {
-		return failCell(res.FailErr)
-	}
-	return "ran (" + seconds(res.EndToEnd) + "s)"
+// versus prices a mitigation: its end-to-end time against the
+// reference configuration's, or dash unless both ran.
+func versus(mitigated, reference Cell, with string) Cell {
+	return derive(mitigated, reference, func(m, r float64) Cell {
+		return label(seconds(m).text + "s vs " + seconds(r).text + "s " + with)
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strconv"
 
 	"github.com/imcstudy/imcstudy/internal/decaf"
 	"github.com/imcstudy/imcstudy/internal/dimes"
@@ -34,21 +35,7 @@ type Scale struct {
 
 // String renders the paper's "(sim, ana)" notation.
 func (s Scale) String() string {
-	return "(" + itoa(s.Sim) + "," + itoa(s.Ana) + ")"
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return "(" + strconv.Itoa(s.Sim) + "," + strconv.Itoa(s.Ana) + ")"
 }
 
 // Fig2Scales are the processor counts of Figure 2 (the x-axis points).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/imcstudy/imcstudy/internal/hpc"
-	"github.com/imcstudy/imcstudy/internal/sim"
 	"github.com/imcstudy/imcstudy/internal/workflow"
 )
 
@@ -24,6 +23,14 @@ func Resilience(o Options) *Table {
 		Title:  "Node-failure injection (Section IV-C extension), LAMMPS (64,32) on Titan, node crashes mid-run",
 		Header: []string{"method", "protection", "outcome", "failure class"},
 	}
+	// row reports one run: survived, or crashed with its failure class.
+	row := func(method workflow.Method, protection string, res workflow.Result, err error, survived string) {
+		shown, class := survived, "-"
+		if f := runFailure(res, err); f != nil {
+			shown, class = "workflow crashed", failureClass(f)
+		}
+		t.AddRow(labels(method.String(), protection, shown, class)...)
+	}
 	for _, method := range []workflow.Method{
 		workflow.MethodFlexpath,
 		workflow.MethodDataSpacesNative,
@@ -41,14 +48,7 @@ func Resilience(o Options) *Table {
 			// Crash after the first coupling step's data landed.
 			Faults: workflow.StagingCrashAt(11),
 		})
-		switch {
-		case err != nil:
-			t.AddRow(method.String(), "none", "ERR", err.Error())
-		case res.Failed:
-			t.AddRow(method.String(), "none", "workflow crashed", failureClass(res.FailErr))
-		default:
-			t.AddRow(method.String(), "none", "survived ("+seconds(res.EndToEnd)+"s)", "-")
-		}
+		row(method, "none", res, err, "survived ("+seconds(res.EndToEnd).text+"s)")
 	}
 
 	// The same staging-node crash against k-way replicated DataSpaces:
@@ -65,19 +65,12 @@ func Resilience(o Options) *Table {
 		Replication: 2,
 		Faults:      workflow.StagingCrashAt(11),
 	})
-	switch {
-	case err != nil:
-		t.AddRow(workflow.MethodDataSpacesNative.String(), "replication k=2", "ERR", err.Error())
-	case res.Failed:
-		t.AddRow(workflow.MethodDataSpacesNative.String(), "replication k=2", "workflow crashed", failureClass(res.FailErr))
-	case res.Recovered:
-		t.AddRow(workflow.MethodDataSpacesNative.String(), "replication k=2",
-			fmt.Sprintf("survived (recovered in %ss, %s MB re-replicated)",
-				seconds(res.RecoveryTime), mb(res.RecoveredBytes)), "-")
-	default:
-		t.AddRow(workflow.MethodDataSpacesNative.String(), "replication k=2",
-			"survived ("+seconds(res.EndToEnd)+"s) but did not recover", "-")
+	survived := "survived (" + seconds(res.EndToEnd).text + "s) but did not recover"
+	if res.Recovered {
+		survived = fmt.Sprintf("survived (recovered in %ss, %s MB re-replicated)",
+			seconds(res.RecoveryTime).text, mb(res.RecoveredBytes).text)
 	}
+	row(workflow.MethodDataSpacesNative, "replication k=2", res, err, survived)
 
 	// The same staging-node crash against checkpoint-protected DIMES:
 	// writers degrade to the Lustre path and readers are served from the
@@ -92,16 +85,8 @@ func Resilience(o Options) *Table {
 		CheckpointEvery: 2,
 		Faults:          workflow.StagingCrashAt(11),
 	})
-	switch {
-	case err != nil:
-		t.AddRow(workflow.MethodDIMESNative.String(), "checkpoint every 2", "ERR", err.Error())
-	case res.Failed:
-		t.AddRow(workflow.MethodDIMESNative.String(), "checkpoint every 2", "workflow crashed", failureClass(res.FailErr))
-	default:
-		t.AddRow(workflow.MethodDIMESNative.String(), "checkpoint every 2",
-			fmt.Sprintf("survived (recovered: %d reads served from Lustre checkpoints)",
-				res.FallbackReads), "-")
-	}
+	row(workflow.MethodDIMESNative, "checkpoint every 2", res, err,
+		fmt.Sprintf("survived (recovered: %d reads served from Lustre checkpoints)", res.FallbackReads))
 
 	// A sim-node crash against checkpoint-protected DIMES: the dead
 	// producers can never finish their in-flight step, so readers roll
@@ -118,17 +103,9 @@ func Resilience(o Options) *Table {
 			Crashes: []workflow.NodeCrash{{Role: workflow.RoleSim, Index: 0, At: 33}},
 		},
 	})
-	const simCrash = "checkpoint every 2, sim-node crash"
-	switch {
-	case err != nil:
-		t.AddRow(workflow.MethodDIMESNative.String(), simCrash, "ERR", err.Error())
-	case res.Failed:
-		t.AddRow(workflow.MethodDIMESNative.String(), simCrash, "workflow crashed", failureClass(res.FailErr))
-	default:
-		t.AddRow(workflow.MethodDIMESNative.String(), simCrash,
-			fmt.Sprintf("survived (recovered: rolled back %d step-reads, %d fallback reads)",
-				res.RolledBackSteps, res.FallbackReads), "-")
-	}
+	row(workflow.MethodDIMESNative, "checkpoint every 2, sim-node crash", res, err,
+		fmt.Sprintf("survived (recovered: rolled back %d step-reads, %d fallback reads)",
+			res.RolledBackSteps, res.FallbackReads))
 
 	t.AddNote("unprotected, no staging library tolerates the loss of the node holding its staged data; MPI-IO survives because each step is already persisted on Lustre — the resilience gap Section IV-C calls out")
 	t.AddNote("with protection the gap closes: replication rides out a staging-node loss via failover reads plus detector-driven re-replication, and the checkpoint fallback rides out a sim-node loss by serving readers the last durable version")
@@ -161,7 +138,7 @@ func ResilienceCost(o Options) *Table {
 	if o.Quick {
 		variants = []variant{variants[0], variants[1], variants[3]}
 	}
-	var base sim.Time
+	base := dash // the unprotected run's end-to-end time
 	for _, v := range variants {
 		res, err := workflow.Run(workflow.Config{
 			Machine:         hpc.Titan(),
@@ -175,23 +152,18 @@ func ResilienceCost(o Options) *Table {
 			CheckpointEvery: v.ckpt,
 			Metrics:         true,
 		})
-		if err != nil {
-			t.AddRow(v.label, "ERR", err.Error(), "-", "-")
+		if f := runFailure(res, err); f != nil {
+			t.AddRow(label(v.label), failed(f), dash, dash, dash)
 			continue
 		}
-		if res.Failed {
-			t.AddRow(v.label, "FAILED", failureClass(res.FailErr), "-", "-")
-			continue
-		}
-		if base == 0 {
-			base = res.EndToEnd
-		}
-		overhead := "-"
-		if base > 0 {
-			overhead = fmt.Sprintf("+%.1f%%", (float64(res.EndToEnd)/float64(base)-1)*100)
+		e2e := seconds(res.EndToEnd)
+		if len(t.Rows) == 0 {
+			base = e2e
 		}
 		replicated := int64(res.Metrics.Counter("resilience/replication/bytes").Value())
-		t.AddRow(v.label, seconds(res.EndToEnd), overhead, mb(replicated), mb(res.CheckpointBytes))
+		t.AddRow(label(v.label), e2e, derive(e2e, base, func(e2e, base float64) Cell {
+			return increase((e2e/base - 1) * 100)
+		}), mb(replicated), mb(res.CheckpointBytes))
 	}
 	t.AddNote("replication multiplies the put traffic across distinct-node staging servers; checkpointing adds shared-file Lustre writes on top of the staged path — the price of surviving the crashes in the resilience table")
 	return t

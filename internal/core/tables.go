@@ -16,21 +16,21 @@ func Table1(Options) *Table {
 		Title:  "Build and runtime configurations (Table I)",
 		Header: []string{"method", "version modelled", "build options", "runtime configuration"},
 	}
-	t.AddRow("DataSpaces/ADIOS, DIMES/ADIOS", "DataSpaces 1.7.2, ADIOS 1.13",
+	t.AddRow(labels("DataSpaces/ADIOS, DIMES/ADIOS", "DataSpaces 1.7.2, ADIOS 1.13",
 		"-with-dataspaces, -with-dimes, -with-mxml, -with-flexpath, -enable-dimes, -with-dimes-rdma-buffer-size=1024, -enable-drc",
-		"lock_type=2, hash_version=2, max_versions=1")
-	t.AddRow("DataSpaces/native, DIMES/native", "DataSpaces 1.7.2",
+		"lock_type=2, hash_version=2, max_versions=1")...)
+	t.AddRow(labels("DataSpaces/native, DIMES/native", "DataSpaces 1.7.2",
 		"-enable-dimes, -enable-drc, -with-dimes-rdma-buffer-size=2048",
-		"lock_type=2, hash_version=2, max_versions=1")
-	t.AddRow("MPI-IO/ADIOS", "ADIOS 1.13",
+		"lock_type=2, hash_version=2, max_versions=1")...)
+	t.AddRow(labels("MPI-IO/ADIOS", "ADIOS 1.13",
 		"-with-mxml",
-		"lfs setstripe -stripe-size 1m -stripe-count -1, ADIOS XML: stats=off")
-	t.AddRow("Flexpath/ADIOS", "ADIOS 1.13 + EVPath",
+		"lfs setstripe -stripe-size 1m -stripe-count -1, ADIOS XML: stats=off")...)
+	t.AddRow(labels("Flexpath/ADIOS", "ADIOS 1.13 + EVPath",
 		"-with-flexpath",
-		"CMTransport=nnti, ADIOS XML: queue_size=1")
-	t.AddRow("Decaf", "as of 06/20/2018",
+		"CMTransport=nnti, ADIOS XML: queue_size=1")...)
+	t.AddRow(labels("Decaf", "as of 06/20/2018",
 		"transport_mpi=on, build_bredala=on, build_manala=on",
-		"prod_dflow_redist='count', dflow_con_redist='count'")
+		"prod_dflow_redist='count', dflow_con_redist='count'")...)
 	t.AddNote("every option above has a behavioural counterpart in the model: buffer sizes bound DIMES pools, hash_version selects the index, queue_size bounds Flexpath queues, redist='count' drives Decaf splitting, stripe settings shape Lustre writes")
 	return t
 }
@@ -44,18 +44,18 @@ func Table2(Options) *Table {
 		Header: []string{"workflow", "simulation", "analytics", "output data"},
 	}
 	lammpsBox := lammps.GlobalBox(1, lammps.PaperAtomsPerRank)
-	t.AddRow("LAMMPS", "Lennard-Jones melt MD (velocity Verlet, reduced units)",
+	t.AddRow(labels("LAMMPS", "Lennard-Jones melt MD (velocity Verlet, reduced units)",
 		"mean squared displacement (MSD)",
 		fmt.Sprintf("5 x nprocs x %d doubles (%s per processor)",
-			lammps.PaperAtomsPerRank, fmt.Sprintf("%.1f MB", float64(lammpsBox.Bytes())/(1<<20))))
+			lammps.PaperAtomsPerRank, fmt.Sprintf("%.1f MB", float64(lammpsBox.Bytes())/(1<<20))))...)
 	laplaceBox := laplace.GlobalBox(1, laplace.PaperRows, laplace.PaperCols)
-	t.AddRow("Laplace", "Jacobi solver for Laplace's equation in a rectangle",
+	t.AddRow(labels("Laplace", "Jacobi solver for Laplace's equation in a rectangle",
 		"n-th moment turbulence data analysis (MTA)",
 		fmt.Sprintf("%d x (nprocs x %d) doubles (%.0f MB per processor)",
-			laplace.PaperRows, laplace.PaperCols, float64(laplaceBox.Bytes())/(1<<20)))
-	t.AddRow("Synthetic", "MPI writer staging a configurable 3-D array",
+			laplace.PaperRows, laplace.PaperCols, float64(laplaceBox.Bytes())/(1<<20)))...)
+	t.AddRow(labels("Synthetic", "MPI writer staging a configurable 3-D array",
 		"MPI reader retrieving and verifying its portion",
-		fmt.Sprintf("%d bytes per writer in either layout", synthetic.PerWriterBytes()))
+		fmt.Sprintf("%d bytes per writer in either layout", synthetic.PerWriterBytes()))...)
 	return t
 }
 
@@ -72,32 +72,8 @@ func Table5(o Options) *Table {
 		if !f.Verified {
 			verified = "NO: " + f.Detail
 		}
-		t.AddRow(f.Name, f.DataSpaces, f.DIMES, f.Flexpath, f.Decaf, verified)
+		t.AddRow(labels(f.Name, f.DataSpaces, f.DIMES, f.Flexpath, f.Decaf, verified)...)
 	}
 	t.AddNote("the 'verified' column is computed by re-running the experiments behind each finding (see internal/core/findings.go)")
 	return t
-}
-
-// machineSummary is used by Table1-adjacent reporting in cmd/imcbench.
-func machineSummary() []*Table {
-	t := &Table{
-		ID:     "machines",
-		Title:  "Machine models (Section III-A)",
-		Header: []string{"machine", "cores/node", "CPU speed", "NIC GB/s", "RDMA mem/handles", "Lustre", "DRC"},
-	}
-	for _, spec := range Machines() {
-		drc := "none"
-		if spec.DRC != nil {
-			drc = fmt.Sprintf("rate %.0f/s, max pending %d", spec.DRC.RequestsPerSec, spec.DRC.MaxPending)
-		}
-		t.AddRow(spec.Name,
-			itoa(spec.CoresPerNode),
-			fmt.Sprintf("%.3f", spec.CPUSpeed),
-			fmt.Sprintf("%.1f", spec.NICBytesPerSec/1e9),
-			fmt.Sprintf("%d MB / %d", spec.RDMAMemBytes>>20, spec.RDMAMaxHandles),
-			fmt.Sprintf("%d OSTs, %.0f GB/s, %d MDS", spec.Lustre.OSTs,
-				float64(spec.Lustre.OSTs)*spec.Lustre.OSTBytesPerSec/1e9, spec.Lustre.MDSCount),
-			drc)
-	}
-	return []*Table{t}
 }

@@ -275,7 +275,7 @@ func Table3(Options) *Table {
 		{"Decaf", "data staging API", "32", decafStagingAPI},
 	}
 	for _, r := range rows {
-		t.AddRow(r.lib, r.cat, itoa(locCount(r.snippet)), r.paper)
+		t.AddRow(label(r.lib), label(r.cat), count(locCount(r.snippet)), label(r.paper))
 	}
 	t.AddNote("Finding 6: none of the libraries is plug-and-play; the native DataSpaces path costs ~2.7x the ADIOS path in integration LoC")
 	return t
