@@ -136,7 +136,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	if res.Failed {
-		return fmt.Errorf("%w: %v", errWorkflowFailed, res.FailErr)
+		return fmt.Errorf("%w (%s): %v", errWorkflowFailed, imcstudy.FailureClass(res.FailErr), res.FailErr)
 	}
 
 	if *jsonOut != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -59,5 +60,19 @@ func TestUnknownLayoutAndTransport(t *testing.T) {
 		if _, err := runArgs(t, args...); err == nil || !strings.Contains(err.Error(), args[1]) {
 			t.Errorf("%v: got error %v, want one naming %q", args, err, args[1])
 		}
+	}
+}
+
+// TestWorkflowFailureNamesClass crashes Flexpath's staging node mid-run
+// (default LAMMPS workload): the run fails as a modelled workflow
+// failure (exit 2) and the error names its failure class.
+func TestWorkflowFailureNamesClass(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-method", "Flexpath", "-fail-staging-at", "11", "-json", "", "-trace", ""}, &out)
+	if !errors.Is(err, errWorkflowFailed) {
+		t.Fatalf("got error %v, want a workflow failure", err)
+	}
+	if !strings.Contains(err.Error(), "workflow failed (node-failure): ") {
+		t.Errorf("error %q does not name the node-failure class", err)
 	}
 }

@@ -301,6 +301,11 @@ var (
 	ResilienceCost = core.ResilienceCost
 )
 
+// FailureClass names the class of a run failure ("node-failure",
+// "out-of-RDMA-memory", ...), the name the FAIL(<class>) cells of the
+// tables and the chaos reports use; "" for nil, "other" when unknown.
+func FailureClass(err error) string { return workflow.FailureClass(err) }
+
 // StagingCrashAt returns a fault plan that crashes the method's first
 // staging node at virtual time t (RunConfig.Faults); see
 // workflow.StagingCrashAt.

@@ -1,8 +1,8 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -142,18 +142,18 @@ func (c Campaign) runTrial(t trial) (out outcome) {
 	defer func() {
 		if v := recover(); v != nil {
 			err := sim.RecoveredPanic(fmt.Sprintf("chaos trial %s/%s", t.method, t.fault), v)
-			out = outcome{failClass: classify(err)}
+			out = outcome{failClass: workflow.FailureClass(err)}
 		}
 	}()
 	res, err := workflow.Run(c.trialConfig(t))
 	if err != nil {
-		return outcome{failClass: classify(err)}
+		return outcome{failClass: workflow.FailureClass(err)}
 	}
 	if res.Failed {
 		return outcome{
 			recovered:    res.Recovered,
 			recoveryTime: float64(res.RecoveryTime),
-			failClass:    classify(res.FailErr),
+			failClass:    workflow.FailureClass(res.FailErr),
 		}
 	}
 	return outcome{
@@ -262,7 +262,7 @@ func aggregate(t trial, outs []outcome) Cell {
 		if o.survived {
 			cell.Survived++
 			sumE2E += o.endToEnd
-		} else if o.failClass != "" && !containsStr(classes, o.failClass) {
+		} else if o.failClass != "" && !slices.Contains(classes, o.failClass) {
 			classes = append(classes, o.failClass)
 		}
 		if o.recovered {
@@ -283,15 +283,6 @@ func aggregate(t trial, outs []outcome) Cell {
 	sort.Strings(classes)
 	cell.FailureClasses = classes
 	return cell
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // bisectAll runs the survival-boundary search for every
@@ -370,37 +361,6 @@ func (c Campaign) bisect(m workflow.Method, f FaultKind, mit Mitigation, baselin
 	}
 	b.Survives, b.Dies = lo, hi
 	return b
-}
-
-// classify maps a failure to its report bucket. Order matters: the
-// innermost injected cause wins over the wrappers above it.
-func classify(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, hpc.ErrMessageLost):
-		return "message-lost"
-	case errors.Is(err, hpc.ErrServerBusy):
-		return "server-busy"
-	case errors.Is(err, hpc.ErrTransientOp):
-		return "transient-op"
-	case errors.Is(err, retry.ErrExhausted):
-		return "retry-exhausted"
-	case errors.Is(err, hpc.ErrNodeFailed):
-		return "node-failed"
-	case errors.Is(err, hpc.ErrOutOfNodeMemory):
-		return "out-of-memory"
-	case errors.Is(err, sim.ErrStalled):
-		return "stalled"
-	case errors.Is(err, sim.ErrDeadlock):
-		return "deadlock"
-	case errors.Is(err, sim.ErrDeadline):
-		return "deadline"
-	case errors.Is(err, sim.ErrPanicked):
-		return "panic"
-	default:
-		return "other"
-	}
 }
 
 // SmokeCampaign is the tiny CI campaign: 2 methods x 2 faults x 2

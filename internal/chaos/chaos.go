@@ -180,8 +180,9 @@ type Cell struct {
 	// MeanRecoveryTime averages their crash-to-restored latency.
 	Recovered        int
 	MeanRecoveryTime float64
-	// FailureClasses lists the distinct failure classifications seen,
-	// sorted ("message-lost", "node-failed", "retry-exhausted", ...).
+	// FailureClasses lists the distinct failure classes seen, sorted
+	// ("message-lost", "node-failure", "retry-exhausted", ...), named by
+	// workflow.FailureClass like the FAIL(<class>) cells of the tables.
 	FailureClasses []string
 }
 

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/imcstudy/imcstudy/internal/hpc"
+	"github.com/imcstudy/imcstudy/internal/sim"
 	"github.com/imcstudy/imcstudy/internal/workflow"
 )
 
@@ -434,6 +436,16 @@ func TestSetupErrorNeverRendersRan(t *testing.T) {
 	}
 	if got := observe(modelled, nil); got != "FAIL(out-of-main-memory)" {
 		t.Fatalf("Table IV modelled failure = %q", got)
+	}
+}
+
+func TestStallRendersFailStalled(t *testing.T) {
+	stall := &sim.StallError{Now: 5, LastProgress: 2}
+	res := workflow.Result{Failed: true, FailErr: fmt.Errorf("workflow: %w", stall)}
+	for _, cell := range []Cell{failed(stall), outcome(res, nil), endToEnd(res, nil)} {
+		if cell.text != "FAIL(stalled)" {
+			t.Fatalf("stalled run renders %q, want FAIL(stalled)", cell.text)
+		}
 	}
 }
 

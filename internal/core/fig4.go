@@ -6,6 +6,7 @@ import (
 	"github.com/imcstudy/imcstudy/internal/hpc"
 	"github.com/imcstudy/imcstudy/internal/rdma"
 	"github.com/imcstudy/imcstudy/internal/sim"
+	"github.com/imcstudy/imcstudy/internal/workflow"
 )
 
 // Fig4 regenerates Figure 4: the synthetic probe that acquires RDMA
@@ -33,7 +34,7 @@ func Fig4(o Options) *Table {
 		for {
 			r, err := dom.Register(size)
 			if err != nil {
-				limit = failureClass(err)
+				limit = workflow.FailureClass(err)
 				break
 			}
 			regs = append(regs, r)

@@ -5,7 +5,7 @@ import (
 
 	"github.com/imcstudy/imcstudy/internal/dataspaces"
 	"github.com/imcstudy/imcstudy/internal/hpc"
-	"github.com/imcstudy/imcstudy/internal/memprof"
+	"github.com/imcstudy/imcstudy/internal/metrics"
 	"github.com/imcstudy/imcstudy/internal/workflow"
 )
 
@@ -30,7 +30,7 @@ func Fig5(o Options) []*Table {
 			ID: "fig5",
 			Title: fmt.Sprintf("Memory per processor, %v on Cori (MB; 20 MB/proc LAMMPS, 128 MB/proc Laplace)",
 				wl),
-			Header: []string{"library", "sim rank", "  compute", "  library", "analytics rank", "server (max)", "samples"},
+			Header: []string{"library", "sim rank", "  compute", "  library", "analytics rank", "server (max)"},
 		}
 		for _, method := range fig5Methods() {
 			res, err := workflow.Run(workflow.Config{
@@ -46,17 +46,12 @@ func Fig5(o Options) []*Table {
 				continue
 			}
 			sim0 := res.Tracker.Component("sim-0")
-			samples := 0
-			for _, c := range res.Tracker.Components() {
-				samples += len(c.Series())
-			}
 			t.AddRow(label(method.String()),
 				mb(res.SimPeakBytes),
 				mb(sim0.PeakOf("compute")),
 				mb(sim0.PeakOf("library")+sim0.PeakOf("adios-buffer")+sim0.PeakOf("staging")),
 				mb(res.AnaPeakBytes),
 				mb(res.ServerPeakBytes),
-				count(samples),
 			)
 		}
 		t.AddNote("paper: DS/DIMES/Flexpath LAMMPS ranks ~400 MB (173 compute + 227 library); Decaf ~40%% more; DataSpaces and Decaf servers stage up to ~560 MB")
@@ -82,6 +77,7 @@ func fig5Series(o Options) *Table {
 		SimProcs: 32,
 		AnaProcs: 16,
 		Steps:    o.steps(),
+		Metrics:  true,
 	})
 	if f := runFailure(res, err); f != nil {
 		t.AddRow(dash, failed(f), dash, dash)
@@ -93,7 +89,7 @@ func fig5Series(o Options) *Table {
 		at := res.EndToEnd * float64(b) / float64(buckets)
 		row := []Cell{decimal(at, 1)}
 		for _, name := range comps {
-			row = append(row, mb(sampleAt(res.Tracker.Component(name).Series(), at)))
+			row = append(row, mb(sampleAt(res.Metrics.Series("mem/"+name).View(), at)))
 		}
 		t.AddRow(row...)
 	}
@@ -101,16 +97,16 @@ func fig5Series(o Options) *Table {
 	return t
 }
 
-// sampleAt returns the last sample value at or before time at.
-func sampleAt(series []memprof.Sample, at float64) int64 {
-	var v int64
+// sampleAt returns the last sample value at or before time at, in bytes.
+func sampleAt(series []metrics.Sample, at float64) int64 {
+	var v float64
 	for _, s := range series {
 		if s.T > at {
 			break
 		}
-		v = s.Bytes
+		v = s.V
 	}
-	return v
+	return int64(v)
 }
 
 // Fig6 regenerates Figure 6: staging-server memory versus problem size

@@ -1,14 +1,9 @@
 package core
 
 import (
-	"errors"
 	"strconv"
 
-	"github.com/imcstudy/imcstudy/internal/decaf"
-	"github.com/imcstudy/imcstudy/internal/dimes"
 	"github.com/imcstudy/imcstudy/internal/hpc"
-	"github.com/imcstudy/imcstudy/internal/rdma"
-	"github.com/imcstudy/imcstudy/internal/transport"
 	"github.com/imcstudy/imcstudy/internal/workflow"
 )
 
@@ -67,30 +62,4 @@ func Fig2Methods(o Options) []workflow.Method {
 // Machines returns the two machine models.
 func Machines() []hpc.Spec {
 	return []hpc.Spec{hpc.Titan(), hpc.Cori()}
-}
-
-// failureClass maps a run failure to its Table IV class name.
-func failureClass(err error) string {
-	switch {
-	case errors.Is(err, rdma.ErrOutOfMemory):
-		return "out-of-RDMA-memory"
-	case errors.Is(err, rdma.ErrOutOfHandles):
-		return "out-of-RDMA-handlers"
-	case errors.Is(err, rdma.ErrDRCOverload):
-		return "out-of-DRC"
-	case errors.Is(err, rdma.ErrDRCNodeSecure):
-		return "DRC-node-secure"
-	case errors.Is(err, transport.ErrOutOfSockets):
-		return "out-of-sockets"
-	case errors.Is(err, hpc.ErrOutOfNodeMemory):
-		return "out-of-main-memory"
-	case errors.Is(err, hpc.ErrNodeFailed):
-		return "node-failure"
-	case errors.Is(err, dimes.ErrBufferFull):
-		return "RDMA-buffer-full"
-	case errors.Is(err, decaf.ErrHeterogeneous):
-		return "no-heterogeneous-launch"
-	default:
-		return "other"
-	}
 }

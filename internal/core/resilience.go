@@ -27,7 +27,7 @@ func Resilience(o Options) *Table {
 	row := func(method workflow.Method, protection string, res workflow.Result, err error, survived string) {
 		shown, class := survived, "-"
 		if f := runFailure(res, err); f != nil {
-			shown, class = "workflow crashed", failureClass(f)
+			shown, class = "workflow crashed", workflow.FailureClass(f)
 		}
 		t.AddRow(labels(method.String(), protection, shown, class)...)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"github.com/imcstudy/imcstudy/internal/hpc"
 	"github.com/imcstudy/imcstudy/internal/ndarray"
 	"github.com/imcstudy/imcstudy/internal/transport"
@@ -37,8 +35,8 @@ func Table4(Options) *Table {
 	bigBox := ndarray.WholeArray([]uint64{5, 1 << 33})
 	overflowErr := ndarray.Check32BitDims(bigBox)
 	obs := "not detected"
-	if errors.Is(overflowErr, ndarray.ErrDimOverflow) {
-		obs = "FAIL(dimension-overflow): " + overflowErr.Error()
+	if overflowErr != nil {
+		obs = failed(overflowErr).text
 	}
 	t.AddRow(labels("data dimension overflow",
 		"declare a variable with a >2^32 dimension under 32-bit dims",

@@ -195,8 +195,8 @@ func runFailure(res workflow.Result, err error) error {
 }
 
 // failed is the cell of a run that did not complete: "FAIL(class)" with
-// the Table IV class of its setup error or modelled failure alike.
-func failed(err error) Cell { return label("FAIL(" + failureClass(err) + ")") }
+// the failure class of its setup error or modelled failure alike.
+func failed(err error) Cell { return label("FAIL(" + workflow.FailureClass(err) + ")") }
 
 // endToEnd is a run's end-to-end time, or the failed-run cell.
 func endToEnd(res workflow.Result, err error) Cell {

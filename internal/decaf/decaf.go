@@ -272,7 +272,7 @@ func (s *System) dflowRange(varName string, j int) (lo, hi uint64, err error) {
 	per := v.totalElems / d
 	rem := v.totalElems % d
 	uj := uint64(j)
-	lo = uj*per + min64(uj, rem)
+	lo = uj*per + min(uj, rem)
 	size := per
 	if uj < rem {
 		size++
@@ -307,7 +307,7 @@ func (c *Client) Put(p *sim.Proc, varName string, version int, chunk Chunk) erro
 		if err != nil {
 			return err
 		}
-		olo, ohi := maxu(lo, chunk.Offset), minu(hi, chunk.Offset+chunk.Count)
+		olo, ohi := max(lo, chunk.Offset), min(hi, chunk.Offset+chunk.Count)
 		if olo >= ohi {
 			continue
 		}
@@ -367,10 +367,10 @@ func (c *Client) Get(p *sim.Proc, varName string, version int, offset, count uin
 		if err != nil {
 			return Chunk{}, err
 		}
-		if maxu(lo, offset) >= minu(hi, offset+count) {
+		if max(lo, offset) >= min(hi, offset+count) {
 			continue
 		}
-		qbox, err := ndarray.NewBox([]uint64{maxu(lo, offset)}, []uint64{minu(hi, offset+count)})
+		qbox, err := ndarray.NewBox([]uint64{max(lo, offset)}, []uint64{min(hi, offset+count)})
 		if err != nil {
 			return Chunk{}, err
 		}
@@ -410,25 +410,4 @@ func (s *System) Shutdown() {
 		store.Close()
 		s.m.Free(s.world.Node(s.dflows[i]), store.Component(), "base", dflowBaseBytes)
 	}
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxu(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minu(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

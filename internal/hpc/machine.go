@@ -286,7 +286,7 @@ func New(e *sim.Engine, spec Spec, nNodes int) (*Machine, error) {
 	if spec.MaxNodes > 0 && nNodes > spec.MaxNodes {
 		return nil, fmt.Errorf("hpc: %d nodes exceed %s's %d", nNodes, spec.Name, spec.MaxNodes)
 	}
-	m := &Machine{SpecV: spec, E: e, Net: e.NewNet(), Mem: memprof.NewTracker(e)}
+	m := &Machine{SpecV: spec, E: e, Net: e.NewNet(), Mem: memprof.NewTracker()}
 	fs, err := lustre.New(e, m.Net, spec.Lustre)
 	if err != nil {
 		return nil, err

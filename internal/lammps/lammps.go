@@ -72,7 +72,7 @@ func WriterBox(nprocs, rank, atoms int) ndarray.Box {
 func ReaderBox(nprocs, nReaders, rank, atoms int) ndarray.Box {
 	per := nprocs / nReaders
 	rem := nprocs % nReaders
-	lo := rank*per + minInt(rank, rem)
+	lo := rank*per + min(rank, rem)
 	size := per
 	if rank < rem {
 		size++
@@ -80,13 +80,6 @@ func ReaderBox(nprocs, nReaders, rank, atoms int) ndarray.Box {
 	b := GlobalBox(nprocs, atoms)
 	b.Lo[1] = uint64(lo)
 	b.Hi[1] = uint64(lo + size)
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
 	return b
 }
 

@@ -70,7 +70,7 @@ func WriterBox(nprocs, rank, rows, cols int) ndarray.Box {
 func ReaderBox(nprocs, nReaders, rank, rows, cols int) ndarray.Box {
 	per := nprocs / nReaders
 	rem := nprocs % nReaders
-	lo := rank*per + minInt(rank, rem)
+	lo := rank*per + min(rank, rem)
 	size := per
 	if rank < rem {
 		size++
@@ -78,13 +78,6 @@ func ReaderBox(nprocs, nReaders, rank, rows, cols int) ndarray.Box {
 	b := GlobalBox(nprocs, rows, cols)
 	b.Lo[1] = uint64(lo) * uint64(cols)
 	b.Hi[1] = uint64(lo+size) * uint64(cols)
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
 	return b
 }
 

@@ -3,9 +3,9 @@
 // Valgrind massif profiles the paper uses for Figures 5, 6, 7 and 11:
 // every allocation a library model makes is recorded against a component
 // (a simulation rank, an analytics rank, a staging server) under a kind
-// ("compute", "staging", "index", "buffer", ...), producing time-series
-// and peak statistics. Publish makes the tracker the producer of the
-// registry's memory tracks.
+// ("compute", "staging", "index", "buffer", ...), producing current and
+// peak statistics. Publish makes the tracker the producer of the
+// registry's memory tracks, the one time-series of memory.
 package memprof
 
 import (
@@ -14,14 +14,7 @@ import (
 	"sync"
 
 	"github.com/imcstudy/imcstudy/internal/metrics"
-	"github.com/imcstudy/imcstudy/internal/sim"
 )
-
-// Sample is one point of a component's memory time-series.
-type Sample struct {
-	T     sim.Time `json:"t"`
-	Bytes int64    `json:"bytes"`
-}
 
 // Component accumulates the memory usage of one workflow entity.
 type Component struct {
@@ -30,7 +23,6 @@ type Component struct {
 	peak       int64
 	byKind     map[string]int64
 	peakByKind map[string]int64
-	samples    []Sample
 
 	// gauge is the published mem/<name> track and kindGauges the
 	// mem/<name>/<kind> tracks; gauge is nil while unpublished.
@@ -63,17 +55,9 @@ func (c *Component) Kinds() []string {
 	return kinds
 }
 
-// Series returns a copy of the memory time-series.
-func (c *Component) Series() []Sample {
-	out := make([]Sample, len(c.samples))
-	copy(out, c.samples)
-	return out
-}
-
 // Tracker owns all components of one simulation run.
 type Tracker struct {
 	mu    sync.Mutex
-	e     *sim.Engine
 	comps map[string]*Component
 	order []string
 
@@ -82,9 +66,9 @@ type Tracker struct {
 	prefixes []string
 }
 
-// NewTracker returns a tracker sampling against the engine's clock.
-func NewTracker(e *sim.Engine) *Tracker {
-	return &Tracker{e: e, comps: make(map[string]*Component)}
+// NewTracker returns an empty tracker.
+func NewTracker() *Tracker {
+	return &Tracker{comps: make(map[string]*Component)}
 }
 
 // Component returns (creating if needed) the named component.
@@ -166,12 +150,6 @@ func (t *Tracker) adjust(component, kind string, n int64) {
 	}
 	if c.byKind[kind] > c.peakByKind[kind] {
 		c.peakByKind[kind] = c.byKind[kind]
-	}
-	now := t.e.Now()
-	if len(c.samples) > 0 && c.samples[len(c.samples)-1].T == now {
-		c.samples[len(c.samples)-1].Bytes = c.cur
-	} else {
-		c.samples = append(c.samples, Sample{T: now, Bytes: c.cur})
 	}
 	if c.gauge != nil {
 		c.gauge.Set(float64(c.cur))

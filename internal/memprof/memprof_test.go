@@ -1,6 +1,7 @@
 package memprof
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,7 +11,9 @@ import (
 
 func TestTrackerPeaksAndSeries(t *testing.T) {
 	e := sim.NewEngine()
-	tr := NewTracker(e)
+	tr := NewTracker()
+	reg := metrics.NewRegistry(e.Now)
+	tr.Publish(reg, "sim-0")
 	e.Spawn("worker", func(p *sim.Proc) error {
 		tr.Alloc("sim-0", "compute", 100)
 		if err := p.Sleep(1); err != nil {
@@ -36,18 +39,17 @@ func TestTrackerPeaksAndSeries(t *testing.T) {
 	if c.PeakOf("staging") != 250 {
 		t.Fatalf("PeakOf(staging) = %d, want 250", c.PeakOf("staging"))
 	}
-	series := c.Series()
+	series := reg.Series("mem/sim-0").Samples()
 	if len(series) != 3 {
 		t.Fatalf("series length = %d, want 3", len(series))
 	}
-	if series[1].T != 1 || series[1].Bytes != 350 {
+	if series[1] != (metrics.Sample{T: 1, V: 350}) {
 		t.Fatalf("series[1] = %+v, want {1 350}", series[1])
 	}
 }
 
 func TestPeakMatching(t *testing.T) {
-	e := sim.NewEngine()
-	tr := NewTracker(e)
+	tr := NewTracker()
 	tr.Alloc("server-0", "staging", 100)
 	tr.Alloc("server-1", "staging", 300)
 	tr.Alloc("sim-0", "compute", 999)
@@ -60,8 +62,7 @@ func TestPeakMatching(t *testing.T) {
 }
 
 func TestFreeBelowZeroClamps(t *testing.T) {
-	e := sim.NewEngine()
-	tr := NewTracker(e)
+	tr := NewTracker()
 	tr.Free("c", "k", 50)
 	if got := tr.Component("c").Current(); got != 0 {
 		t.Fatalf("Current = %d, want 0", got)
@@ -69,8 +70,7 @@ func TestFreeBelowZeroClamps(t *testing.T) {
 }
 
 func TestKindsSortedAndString(t *testing.T) {
-	e := sim.NewEngine()
-	tr := NewTracker(e)
+	tr := NewTracker()
 	tr.Alloc("c", "zeta", 10)
 	tr.Alloc("c", "alpha", 10)
 	kinds := tr.Component("c").Kinds()
@@ -84,12 +84,14 @@ func TestKindsSortedAndString(t *testing.T) {
 
 func TestSameInstantSamplesCoalesce(t *testing.T) {
 	e := sim.NewEngine()
-	tr := NewTracker(e)
+	tr := NewTracker()
+	reg := metrics.NewRegistry(e.Now)
+	tr.Publish(reg, "c")
 	tr.Alloc("c", "k", 1)
 	tr.Alloc("c", "k", 2)
 	tr.Alloc("c", "k", 3)
-	series := tr.Component("c").Series()
-	if len(series) != 1 || series[0].Bytes != 6 {
+	series := reg.Series("mem/c").Samples()
+	if len(series) != 1 || series[0].V != 6 {
 		t.Fatalf("series = %+v, want one coalesced sample of 6", series)
 	}
 }
@@ -97,11 +99,12 @@ func TestSameInstantSamplesCoalesce(t *testing.T) {
 // TestPublishMatchesTracker checks the registry tracks Publish produces
 // against the tracker's own accounting: a published component's
 // mem/<name> gauge and per-kind gauges agree with Current/Peak and
-// CurrentOf/PeakOf after an alloc/free sequence, its series matches the
-// tracker's, and an unpublished component creates no instruments.
+// CurrentOf/PeakOf after an alloc/free sequence, its series holds the
+// clamped running total after each change, and an unpublished component
+// creates no instruments.
 func TestPublishMatchesTracker(t *testing.T) {
 	e := sim.NewEngine()
-	tr := NewTracker(e)
+	tr := NewTracker()
 	reg := metrics.NewRegistry(e.Now)
 	tr.Alloc("server-0", "base", 10) // before Publish: not replayed
 	tr.Publish(reg, "server-", "sim-0")
@@ -131,6 +134,13 @@ func TestPublishMatchesTracker(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// Step i happens at virtual time i; a total never drops below zero.
+	wantSeries := make(map[string][]metrics.Sample)
+	cur := map[string]int64{"server-0": 10}
+	for i, s := range steps {
+		cur[s.comp] = max(cur[s.comp]+s.n, 0)
+		wantSeries[s.comp] = append(wantSeries[s.comp], metrics.Sample{T: float64(i), V: float64(cur[s.comp])})
+	}
 	snap := reg.Snapshot()
 	for _, name := range []string{"server-1", "sim-0"} {
 		c := tr.Component(name)
@@ -145,18 +155,8 @@ func TestPublishMatchesTracker(t *testing.T) {
 					name, kind, g, c.CurrentOf(kind), c.PeakOf(kind))
 			}
 		}
-		var want []metrics.Sample
-		for _, smp := range c.Series() {
-			want = append(want, metrics.Sample{T: smp.T, V: float64(smp.Bytes)})
-		}
-		got := snap.Series["mem/"+name]
-		if len(got) != len(want) {
-			t.Fatalf("mem/%s series %v, tracker %v", name, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("mem/%s series %v, tracker %v", name, got, want)
-			}
+		if got, want := snap.Series["mem/"+name], wantSeries[name]; !slices.Equal(got, want) {
+			t.Fatalf("mem/%s series %v, want %v", name, got, want)
 		}
 	}
 	// server-0 allocated before Publish: its gauge holds the absolute
@@ -182,8 +182,7 @@ func TestPublishMatchesTracker(t *testing.T) {
 // TestPublishNilRegistry pins the disabled path: publishing to a nil
 // registry records nothing and leaves the tracker's accounting intact.
 func TestPublishNilRegistry(t *testing.T) {
-	e := sim.NewEngine()
-	tr := NewTracker(e)
+	tr := NewTracker()
 	tr.Publish(nil, "c")
 	tr.Alloc("c", "k", 10)
 	tr.Free("c", "k", 4)

@@ -111,8 +111,8 @@ func (b Box) Intersect(o Box) (Box, bool) {
 	lo := make([]uint64, len(b.Lo))
 	hi := make([]uint64, len(b.Lo))
 	for i := range b.Lo {
-		lo[i] = max64(b.Lo[i], o.Lo[i])
-		hi[i] = min64(b.Hi[i], o.Hi[i])
+		lo[i] = max(b.Lo[i], o.Lo[i])
+		hi[i] = min(b.Hi[i], o.Hi[i])
 		if lo[i] >= hi[i] {
 			return Box{}, false
 		}
@@ -171,18 +171,4 @@ func Check32BitDims(b Box) error {
 		}
 	}
 	return nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

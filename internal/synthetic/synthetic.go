@@ -86,7 +86,7 @@ func ReaderBox(l Layout, nprocs, nReaders, rank int) (ndarray.Box, error) {
 	}
 	per := nprocs / nReaders
 	rem := nprocs % nReaders
-	lo := rank*per + minInt(rank, rem)
+	lo := rank*per + min(rank, rem)
 	size := per
 	if rank < rem {
 		size++
@@ -100,13 +100,6 @@ func ReaderBox(l Layout, nprocs, nReaders, rank int) (ndarray.Box, error) {
 		g.Hi[2] = uint64(lo+size) * matchedDepth
 	}
 	return g, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // PerWriterBytes returns the staged bytes per writer (identical across

@@ -117,8 +117,8 @@ func TestRetryPolicyIsTheMitigation(t *testing.T) {
 	if !res.Failed {
 		t.Fatal("unmitigated run survived 50% message loss; pick a harsher seed")
 	}
-	if !IsResourceFailure(res.FailErr) {
-		t.Fatalf("loss failure %v not classified as a resource failure", res.FailErr)
+	if got := FailureClass(res.FailErr); got != "message-lost" {
+		t.Fatalf("loss failure %v classified %q, want message-lost", res.FailErr, got)
 	}
 	if !errors.Is(res.FailErr, hpc.ErrMessageLost) {
 		t.Fatalf("failure %v does not wrap ErrMessageLost", res.FailErr)

@@ -528,19 +528,12 @@ func (c *decafCoupler) shutdown() { c.sys.Shutdown() }
 func readerWriterSpan(nWriters, nReaders, r int) (first, count int) {
 	per := nWriters / nReaders
 	rem := nWriters % nReaders
-	first = r*per + minInt(r, rem)
+	first = r*per + min(r, rem)
 	count = per
 	if r < rem {
 		count++
 	}
 	return first, count
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // mpiioCoupler is the persistent-storage baseline: each step is a shared

@@ -758,19 +758,3 @@ func place(e *sim.Engine, cfg Config) (*layout, *hpc.Machine, error) {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// IsResourceFailure reports whether a run failure is one of the Table IV
-// resource classes (as opposed to a logic error).
-func IsResourceFailure(err error) bool {
-	return errors.Is(err, hpc.ErrOutOfNodeMemory) ||
-		errorsIsAny(err)
-}
-
-func errorsIsAny(err error) bool {
-	for _, target := range resourceErrors() {
-		if errors.Is(err, target) {
-			return true
-		}
-	}
-	return false
-}
