@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -24,12 +23,13 @@ type Link struct {
 	flowsEver  int64
 	curRate    float64
 
-	// flows is the set of active flows traversing this link (one entry
-	// per occurrence, so a flow listing the link twice appears twice).
-	// It doubles as the node→active-flows index: SetLinkRate and fault
-	// windows reach exactly the affected flows instead of scanning the
-	// whole network.
-	flows []linkSlot
+	// flows is the set of active flows traversing this link in arrival
+	// (seq) order, one entry per occurrence: a flow listing the link
+	// twice sits in two adjacent slots. Retired flows stay until the
+	// next flush compacts the list. It doubles as the node→active-flows
+	// index: SetLinkRate and fault windows reach exactly the affected
+	// flows instead of scanning the whole network.
+	flows []*netFlow
 	// dirty marks membership in Net.dirtyLinks; inComp is BFS scratch
 	// for the incremental recomputation.
 	dirty  bool
@@ -39,14 +39,6 @@ type Link struct {
 	// recorded is the utilization they last received (idle until then).
 	series   []*metrics.Series
 	recorded float64
-}
-
-// linkSlot records one occurrence of a flow on a link; k is the index of
-// this occurrence in the flow's own links/pos slices, so a swap-remove on
-// the link list can fix up the moved flow's position in O(1).
-type linkSlot struct {
-	f *netFlow
-	k int
 }
 
 // Name returns the link name.
@@ -131,7 +123,6 @@ type Net struct {
 	compLinks []*Link
 	compFlows []*netFlow
 	active    []*Link
-	fix       []*netFlow
 
 	// flushFn/onCompletionFn are the bound methods scheduled on the
 	// engine, captured once so the hot path does not allocate a new
@@ -163,10 +154,10 @@ type netFlow struct {
 	rate      float64
 	rateCap   float64 // 0 = uncapped
 	links     []*Link
-	pos       []int // this flow's slot in each link's flow list
 	done      *Event
 	fixed     bool
-	seq       int64 // global arrival order; component filling follows it
+	retired   bool  // completed; flush drops it from its links' lists
+	seq       int64 // global arrival order, the order of every flow list
 	inComp    bool
 }
 
@@ -221,36 +212,33 @@ func (n *Net) StartFlowCapped(bytes, rateCap float64, links ...*Link) *Event {
 	}
 	f := &netFlow{remaining: bytes, rateCap: rateCap, links: links, done: done, seq: n.flowSeq}
 	n.flowSeq++
-	if len(links) > 0 {
-		f.pos = make([]int, len(links))
-	}
+	n.advance()
+	n.flows = append(n.flows, f)
 	for _, l := range links {
 		l.bytesMoved += bytes
 		l.flowsEver++
-	}
-	n.advance()
-	n.flows = append(n.flows, f)
-	for i, l := range links {
-		f.pos[i] = len(l.flows)
-		l.flows = append(l.flows, linkSlot{f: f, k: i})
+		l.flows = append(l.flows, f)
 		n.markDirtyLink(l)
 	}
 	n.markDirty()
 	return done
 }
 
-// detach removes f from its links' flow lists (swap-remove, fixing the
-// moved entry's back-pointer) and marks those links dirty.
+// detach retires f and marks its links dirty; the next flush drops it
+// from their flow lists.
 func (n *Net) detach(f *netFlow) {
-	for i, l := range f.links {
-		j := f.pos[i]
-		last := len(l.flows) - 1
-		moved := l.flows[last]
-		l.flows[j] = moved
-		moved.f.pos[moved.k] = j
-		l.flows[last] = linkSlot{}
-		l.flows = l.flows[:last]
+	f.retired = true
+	for _, l := range f.links {
 		n.markDirtyLink(l)
+	}
+}
+
+// compactDirtyLinks drops retired flows from every dirty link's list,
+// keeping the others in arrival order. Every link a retired flow lists
+// is dirty, so afterwards no list holds one.
+func (n *Net) compactDirtyLinks() {
+	for _, l := range n.dirtyLinks {
+		l.flows = slices.DeleteFunc(l.flows, func(f *netFlow) bool { return f.retired })
 	}
 }
 
@@ -289,6 +277,7 @@ func (n *Net) markDirtyLink(l *Link) {
 
 func (n *Net) flush() {
 	n.dirty = false
+	n.compactDirtyLinks()
 	if n.forceFull {
 		for _, l := range n.dirtyLinks {
 			l.dirty = false
@@ -340,8 +329,8 @@ func (n *Net) assignRates() {
 // capacity, flow counts, pick order — is exactly what the full algorithm
 // would compute for those links, and untouched components keep their
 // previous (still exact) allocation, so the resulting rates are
-// bit-identical to a full recomputation. It relies on n.flows staying in
-// seq order: StartFlow appends and onCompletion compacts in place.
+// bit-identical to a full recomputation. The walk collects the
+// component's flows in BFS order; fillRates does not depend on it.
 func (n *Net) assignRatesIncremental() {
 	if len(n.dirtyLinks) == 0 {
 		return
@@ -351,27 +340,20 @@ func (n *Net) assignRatesIncremental() {
 		l.inComp = true
 	}
 	comp = append(comp, n.dirtyLinks...)
+	cf := n.compFlows[:0]
 	for qi := 0; qi < len(comp); qi++ {
-		for _, s := range comp[qi].flows {
-			f := s.f
+		for _, f := range comp[qi].flows {
 			if f.inComp {
 				continue
 			}
 			f.inComp = true
+			cf = append(cf, f)
 			for _, l2 := range f.links {
 				if !l2.inComp {
 					l2.inComp = true
 					comp = append(comp, l2)
 				}
 			}
-		}
-	}
-	// Filtering n.flows yields the component's flows in seq order, the
-	// order the full recomputation walks them in.
-	cf := n.compFlows[:0]
-	for _, f := range n.flows {
-		if f.inComp {
-			cf = append(cf, f)
 		}
 	}
 	for _, l := range comp {
@@ -397,10 +379,11 @@ func (n *Net) assignRatesIncremental() {
 // whose fair share (remaining capacity / unfixed flows) is smallest, fix
 // all its flows at that rate, and subtract their demand from the other
 // links they traverse. Ties break toward the smaller link id so runs are
-// deterministic. flows must be in seq order and hold every active flow
-// on the links they traverse: a bottleneck's flows come from its own
-// list, sorted by seq. Callers must have zeroed curRate on every link
-// the flows traverse.
+// deterministic. flows may come in any order but must hold every active
+// flow on the links they traverse: a bottleneck's flows, and each link's
+// aggregate rate, come from the link's own list in seq order, so the
+// result does not depend on the order of flows. Callers must have zeroed
+// curRate on every link the flows traverse.
 func (n *Net) fillRates(flows []*netFlow) {
 	active := n.active[:0]
 	for _, f := range flows {
@@ -428,7 +411,8 @@ func (n *Net) fillRates(flows []*netFlow) {
 			}
 		}
 		if best < 0 {
-			// Remaining flows traverse only saturated links; stall them.
+			// Only flows with no links remain (a flow on a link is fixed
+			// at its share, zero on a saturated link); stall them.
 			for _, f := range flows {
 				if !f.fixed {
 					f.rate = 0
@@ -441,18 +425,14 @@ func (n *Net) fillRates(flows []*netFlow) {
 		if bestShare < 0 {
 			bestShare = 0
 		}
-		// Fix the bottleneck's flows in seq order, so remCap is decremented
-		// and clamped in the order a scan of flows would; marking them
-		// fixed on collection skips a flow's second slot on the link.
-		fix := n.fix[:0]
-		for _, s := range n.links[best].flows {
-			if !s.f.fixed {
-				s.f.fixed = true
-				fix = append(fix, s.f)
+		// Fix the bottleneck's flows in seq order, its list's order, so
+		// remCap is decremented and clamped in the order a scan of flows
+		// would; a flow's second slot on the link is already fixed.
+		for _, f := range n.links[best].flows {
+			if f.fixed {
+				continue
 			}
-		}
-		slices.SortFunc(fix, func(a, b *netFlow) int { return cmp.Compare(a.seq, b.seq) })
-		for _, f := range fix {
+			f.fixed = true
 			rate := bestShare
 			if f.rateCap > 0 && f.rateCap < rate {
 				rate = f.rateCap
@@ -467,15 +447,13 @@ func (n *Net) fillRates(flows []*netFlow) {
 				n.count[l.id]--
 			}
 		}
-		n.fix = fix[:0]
 	}
 	// Reset scratch counters for the next recomputation, and roll up the
-	// per-link aggregate rates that utilization is recorded from.
+	// per-link aggregate rates that utilization is recorded from, each
+	// link summing its own list in seq order.
 	for _, l := range active {
 		n.count[l.id] = 0
-	}
-	for _, f := range flows {
-		for _, l := range f.links {
+		for _, f := range l.flows {
 			l.curRate += f.rate
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/imcstudy/imcstudy/internal/metrics"
@@ -96,14 +97,19 @@ func (sc flowScript) play(t *testing.T, full bool) playback {
 	var log []string
 	observed := make([][]metrics.Sample, sc.nLinks)
 	n.SetRateObserver(func(tm Time) {
-		// The incremental path filters component flows out of n.flows
-		// in place of sorting them, so completions must keep it in seq
+		// Completions fire in n.flows order, so it must stay in seq
 		// order.
 		for i := 1; i < len(n.flows); i++ {
 			if n.flows[i-1].seq >= n.flows[i].seq {
 				t.Fatalf("t=%v: n.flows out of seq order at %d: %d then %d",
 					tm, i, n.flows[i-1].seq, n.flows[i].seq)
 			}
+		}
+		if err := checkLinkLists(n); err != nil {
+			t.Fatalf("t=%v (full=%v): %v", tm, full, err)
+		}
+		if err := checkAllocation(n); err != nil {
+			t.Fatalf("t=%v (full=%v): %v", tm, full, err)
 		}
 		line := fmt.Sprintf("rates %x", math.Float64bits(tm))
 		for i, l := range links {
@@ -145,6 +151,101 @@ func (sc flowScript) play(t *testing.T, full bool) playback {
 	return pb
 }
 
+// checkLinkLists asserts the invariant fillRates reads flows by: after
+// a flush every link's flow list is in non-decreasing seq order (a flow
+// listing the link twice sits in two adjacent slots) and holds no
+// retired flow.
+func checkLinkLists(n *Net) error {
+	for _, l := range n.links {
+		for i, f := range l.flows {
+			if f.retired {
+				return fmt.Errorf("link %s holds retired flow seq %d", l.name, f.seq)
+			}
+			if i > 0 && l.flows[i-1].seq > f.seq {
+				return fmt.Errorf("link %s out of seq order at %d: %d then %d",
+					l.name, i, l.flows[i-1].seq, f.seq)
+			}
+		}
+	}
+	return nil
+}
+
+// allocTol is the relative tolerance of checkAllocation's comparisons.
+const allocTol = 1e-9
+
+// checkAllocation checks the current rates against the allocation the
+// solver promises, computed from the flows alone:
+//   - the rates through each link sum to at most its capacity;
+//   - no flow exceeds its cap;
+//   - every flow below its cap, stalled ones included, crosses a link
+//     on which no flow gets a higher rate and whose capacity is used up
+//     once each capped flow on it is counted at that rate.
+//
+// The last is max-min fairness with a flow's cap applied when its
+// bottleneck fixes it: a capped flow claims the bottleneck's full fair
+// share and uses only its cap, so the rest of that share stays idle. A
+// stalled flow therefore needs a zero-capacity link.
+func checkAllocation(n *Net) error {
+	atCap := func(f *netFlow) bool { return f.rateCap > 0 && f.rate >= f.rateCap*(1-allocTol) }
+	// Per link: the rates through it, the part of them from flows below
+	// their cap, how many flows at their cap cross it, and the top rate.
+	load := make([]float64, len(n.links))
+	free := make([]float64, len(n.links))
+	capped := make([]float64, len(n.links))
+	top := make([]float64, len(n.links))
+	for _, f := range n.flows {
+		if f.rateCap > 0 && f.rate > f.rateCap*(1+allocTol) {
+			return fmt.Errorf("flow seq %d: rate %v above its cap %v", f.seq, f.rate, f.rateCap)
+		}
+		for _, l := range f.links {
+			load[l.id] += f.rate
+			if atCap(f) {
+				capped[l.id]++
+			} else {
+				free[l.id] += f.rate
+			}
+			top[l.id] = max(top[l.id], f.rate)
+		}
+	}
+	for _, l := range n.links {
+		if load[l.id] > l.rate*(1+allocTol) {
+			return fmt.Errorf("link %s: flows sum to %v over capacity %v", l.name, load[l.id], l.rate)
+		}
+	}
+	for _, f := range n.flows {
+		if atCap(f) {
+			continue
+		}
+		bottlenecked := false
+		for _, l := range f.links {
+			claimed := free[l.id] + capped[l.id]*f.rate
+			if top[l.id] <= f.rate*(1+allocTol) && claimed >= l.rate*(1-allocTol) {
+				bottlenecked = true
+				break
+			}
+		}
+		if !bottlenecked {
+			return fmt.Errorf("flow seq %d (cap %v): rate %v, yet no link it crosses is saturated with it getting the most",
+				f.seq, f.rateCap, f.rate)
+		}
+	}
+	return nil
+}
+
+// sameTranscripts reports the first difference between two transcripts.
+func sameTranscripts(full, inc []string) error {
+	if len(full) != len(inc) {
+		return fmt.Errorf("transcript lengths differ: full=%d incremental=%d", len(full), len(inc))
+	}
+	for i := range full {
+		if full[i] != inc[i] {
+			return fmt.Errorf("transcripts diverge at line %d:\nfull:        %s\nincremental: %s",
+				i, full[i], inc[i])
+		}
+	}
+	return nil
+}
+
 // TestIncrementalMatchesFullRecompute drives randomized flow
 // arrival/departure sequences — including links degraded mid-flow — and
 // asserts the incremental component-local rate assignment reproduces the
@@ -153,19 +254,68 @@ func (sc flowScript) play(t *testing.T, full bool) playback {
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		sc := makeFlowScript(seed, 10, 150, 25)
-		fullLog := sc.play(t, true).log
-		incLog := sc.play(t, false).log
-		if len(fullLog) != len(incLog) {
-			t.Fatalf("seed %d: transcript lengths differ: full=%d incremental=%d",
-				seed, len(fullLog), len(incLog))
-		}
-		for i := range fullLog {
-			if fullLog[i] != incLog[i] {
-				t.Fatalf("seed %d: transcripts diverge at line %d:\nfull:        %s\nincremental: %s",
-					seed, i, fullLog[i], incLog[i])
-			}
+		if err := sameTranscripts(sc.play(t, true).log, sc.play(t, false).log); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
+}
+
+// decodeFlowScript turns fuzz bytes into a small flow script: up to 4
+// links, up to 12 flows of one to three links (repeats allowed, so a
+// flow may list a link twice), about a third of them capped, and up to 4
+// degradation windows whose factor may be 0 (the link stalls until the
+// window closes). Exhausted input reads as zeros.
+func decodeFlowScript(data []byte) flowScript {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	sc := flowScript{nLinks: 1 + next()%4}
+	for i := 0; i < sc.nLinks; i++ {
+		sc.rates = append(sc.rates, 1e6*float64(1+next()%10))
+	}
+	nFlows := 1 + next()%12
+	for i := 0; i < nFlows; i++ {
+		f := scriptFlow{at: 0.25 * float64(next()%16), bytes: 1e3 + 4e4*float64(next())}
+		if next()%3 == 0 {
+			f.rateCap = 1e5 * float64(1+next()%20)
+		}
+		nl := 1 + next()%3
+		for j := 0; j < nl; j++ {
+			f.links = append(f.links, next()%sc.nLinks)
+		}
+		sc.flows = append(sc.flows, f)
+	}
+	nTunes := next() % 5
+	for i := 0; i < nTunes; i++ {
+		l := next() % sc.nLinks
+		at := 0.25 * float64(next()%16)
+		dur := 0.25 * float64(1+next()%8)
+		factor := float64(next()%5) / 4
+		sc.tunes = append(sc.tunes,
+			scriptTune{at: at, link: l, factor: factor},
+			scriptTune{at: at + dur, link: l, factor: 1})
+	}
+	return sc
+}
+
+// FuzzNetIncrementalMatchesFull replays fuzz-decoded flow scripts in
+// both solver modes: the transcripts must be equal bit for bit, and play
+// checks the link-list invariant and the allocation after every flush.
+func FuzzNetIncrementalMatchesFull(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 3, 7, 5, 0, 9, 0, 4, 1, 2, 3, 1, 200, 1, 5, 1, 0, 1, 2, 2, 3, 4, 0, 3, 0})
+	f.Add([]byte{3, 0, 1, 2, 9, 11, 2, 50, 0, 7, 2, 1, 1, 3, 100, 1, 0, 0, 2, 2, 1, 0, 2, 2, 3, 1, 4, 1, 2, 3, 2, 1, 0, 5, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := decodeFlowScript(data)
+		if err := sameTranscripts(sc.play(t, true).log, sc.play(t, false).log); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // changePoints reduces a per-recomputation utilization log to what a
@@ -375,8 +525,9 @@ func scanFill(n *Net, flows []*netFlow) {
 // randomFlowSet builds a network holding a random set of active flows,
 // never run: capped flows with different caps, flows listing one link
 // twice, flows with no link at all (only the stall branch rates them),
-// and zero-capacity links. A third of the flows are retired again, so
-// the links' flow lists are out of seq order as swap-removes leave them.
+// and zero-capacity links. A third of the flows are retired again
+// through onCompletion and the flush's compaction, so the links' flow
+// lists are as completions leave them.
 func randomFlowSet(seed int64) *Net {
 	rng := rand.New(rand.NewSource(seed))
 	n := NewEngine().NewNet()
@@ -406,25 +557,30 @@ func randomFlowSet(seed int64) *Net {
 		}
 		n.StartFlowCapped(1e6, rateCap, ls...)
 	}
-	keep := n.flows[:0]
 	for _, f := range n.flows {
 		if rng.Intn(3) == 0 {
-			n.detach(f)
-			continue
+			f.remaining = 0
 		}
-		keep = append(keep, f)
 	}
-	n.flows = keep
+	n.onCompletion()
+	n.compactDirtyLinks()
 	return n
 }
 
-// TestFillMatchesScanOracle fills random flow sets with fillRates and
-// with the scan-every-flow oracle, and asserts every flow's rate and
-// every link's aggregate rate agree bit for bit.
+// TestFillMatchesScanOracle fills random flow sets with fillRates, given
+// the flows in a seeded shuffle, and with the scan-every-flow oracle,
+// given them in seq order, and asserts every flow's rate and every
+// link's aggregate rate agree bit for bit: fillRates does not depend on
+// the order of its input, which is what lets the incremental path hand
+// it a component's flows in walk order.
 func TestFillMatchesScanOracle(t *testing.T) {
 	for seed := int64(1); seed <= 3000; seed++ {
 		n := randomFlowSet(seed)
-		n.assignRates()
+		shuffled := slices.Clone(n.flows)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		n.fillRates(shuffled)
 		rates := make([]uint64, len(n.flows))
 		for i, f := range n.flows {
 			rates[i] = math.Float64bits(f.rate)

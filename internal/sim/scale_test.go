@@ -131,3 +131,25 @@ func BenchmarkFillMatched(b *testing.B) {
 		n.assignRates()
 	}
 }
+
+// BenchmarkFlushMatched times what one completion costs the solver on
+// the ds-matched-shaped network: retire the oldest flow, then one
+// incremental flush (compaction, component walk, fill and the next
+// completion's scheduling). The network drains one flow per iteration
+// and is rebuilt, untimed, when empty, so an op averages over sizes
+// from 682 flows down to one.
+func BenchmarkFlushMatched(b *testing.B) {
+	b.ReportAllocs()
+	var n *Net
+	for i := 0; i < b.N; i++ {
+		if n == nil || len(n.flows) == 0 {
+			b.StopTimer()
+			n = matchedNet()
+			n.flush()
+			b.StartTimer()
+		}
+		n.detach(n.flows[0])
+		n.flows = n.flows[1:]
+		n.flush()
+	}
+}
