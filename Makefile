@@ -4,14 +4,15 @@ PROF_OUT ?= imcprof-smoke.json
 CHAOS_OUT ?= chaos-smoke.json
 LINT_OUT ?= imclint-report.json
 
-.PHONY: check fmt build vet lint lint-vet test race bench results microbench fuzz prof-smoke chaos-smoke tidy
+.PHONY: check fmt build vet lint lint-vet test race hostbench-test bench results microbench fuzz prof-smoke chaos-smoke tidy
 
 # check is the CI gate: check formatting, compile everything, vet, lint
 # the determinism invariants (in both driver modes), run the full test
-# suite under the race detector, give the fuzzers a short shake, prove
-# the self-profiling pipeline end to end, and run the tiny chaos
-# campaign (report written, re-read and parsed).
-check: fmt build vet lint lint-vet race fuzz prof-smoke chaos-smoke
+# suite under the race detector, vet and test the nested hostbench
+# module, give the fuzzers a short shake, prove the self-profiling
+# pipeline end to end, and run the tiny chaos campaign (report written,
+# re-read and parsed).
+check: fmt build vet lint lint-vet race hostbench-test fuzz prof-smoke chaos-smoke
 
 # fmt fails, listing the files, when any Go file in the tree (the
 # nested hostbench module and lint fixtures included) is not gofmt-clean.
@@ -50,6 +51,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# hostbench-test vets and tests the nested hostbench module (its own
+# go.mod, so `./...` above never reaches it): its drivers import the
+# simulator's APIs, and its self-tests check runs against refs.json.
+hostbench-test:
+	cd hostbench && $(GO) vet ./... && $(GO) test ./...
 
 # prof-smoke is the self-profiling end-to-end check: profile a small
 # run with imcreport, then parse and summarize the journal with imcprof.

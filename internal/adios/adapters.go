@@ -1,101 +1,30 @@
 package adios
 
 import (
-	"errors"
-
-	"github.com/imcstudy/imcstudy/internal/dataspaces"
-	"github.com/imcstudy/imcstudy/internal/dimes"
 	"github.com/imcstudy/imcstudy/internal/flexpath"
 	"github.com/imcstudy/imcstudy/internal/ndarray"
 	"github.com/imcstudy/imcstudy/internal/sim"
 )
 
-// ErrWrongSide reports using a one-directional adapter from the other
-// side (e.g. Get on a Flexpath writer adapter).
-var ErrWrongSide = errors.New("adios: transport adapter does not support this direction")
-
-// DataSpacesTransport adapts a DataSpaces client to the ADIOS Transport.
-type DataSpacesTransport struct {
-	Client *dataspaces.Client
-}
-
-var _ Transport = (*DataSpacesTransport)(nil)
-
-// Put stages the block via dspaces_put.
-func (t *DataSpacesTransport) Put(p *sim.Proc, varName string, version int, blk ndarray.Block) error {
-	return t.Client.Put(p, varName, version, blk)
-}
-
-// Commit releases the version (dspaces_unlock_on_write).
-func (t *DataSpacesTransport) Commit(varName string, version int) {
-	t.Client.Commit(varName, version)
-}
-
-// Get retrieves a box via dspaces_get.
-func (t *DataSpacesTransport) Get(p *sim.Proc, varName string, version int, box ndarray.Box) (ndarray.Block, error) {
-	return t.Client.Get(p, varName, version, box)
-}
-
-// DIMESTransport adapts a DIMES client.
-type DIMESTransport struct {
-	Client *dimes.Client
-}
-
-var _ Transport = (*DIMESTransport)(nil)
-
-// Put stages the block via dimes_put.
-func (t *DIMESTransport) Put(p *sim.Proc, varName string, version int, blk ndarray.Block) error {
-	return t.Client.Put(p, varName, version, blk)
-}
-
-// Commit releases the version.
-func (t *DIMESTransport) Commit(varName string, version int) {
-	t.Client.Commit(varName, version)
-}
-
-// Get retrieves a box via dimes_get.
-func (t *DIMESTransport) Get(p *sim.Proc, varName string, version int, box ndarray.Box) (ndarray.Block, error) {
-	return t.Client.Get(p, varName, version, box)
-}
-
-// FlexpathWriterTransport adapts a Flexpath writer (publish side only).
-type FlexpathWriterTransport struct {
-	Writer *flexpath.Writer
-}
-
-var _ Transport = (*FlexpathWriterTransport)(nil)
+// FlexpathWriterTransport adapts a Flexpath writer (the publish side) to
+// WriteTransport.
+type FlexpathWriterTransport struct{ *flexpath.Writer }
 
 // Put publishes the block.
-func (t *FlexpathWriterTransport) Put(p *sim.Proc, varName string, version int, blk ndarray.Block) error {
-	return t.Writer.Publish(p, varName, version, blk)
+func (t FlexpathWriterTransport) Put(p *sim.Proc, varName string, version int, blk ndarray.Block) error {
+	return t.Publish(p, varName, version, blk)
 }
 
 // Commit is a no-op: publication makes the version visible.
-func (t *FlexpathWriterTransport) Commit(string, int) {}
+func (FlexpathWriterTransport) Commit(string, int) {}
 
-// Get is unsupported on the publish side.
-func (t *FlexpathWriterTransport) Get(*sim.Proc, string, int, ndarray.Box) (ndarray.Block, error) {
-	return ndarray.Block{}, ErrWrongSide
-}
-
-// FlexpathReaderTransport adapts a Flexpath reader (subscribe side only).
-type FlexpathReaderTransport struct {
-	Reader *flexpath.Reader
-}
-
-var _ Transport = (*FlexpathReaderTransport)(nil)
-
-// Put is unsupported on the subscribe side.
-func (t *FlexpathReaderTransport) Put(*sim.Proc, string, int, ndarray.Block) error {
-	return ErrWrongSide
-}
-
-// Commit is a no-op.
-func (t *FlexpathReaderTransport) Commit(string, int) {}
+// FlexpathReaderTransport adapts a Flexpath reader (the subscribe side) to
+// ReadTransport.
+type FlexpathReaderTransport struct{ *flexpath.Reader }
 
 // Get fetches the reader's subscribed box; the box argument must match
 // the subscription (Flexpath pulls whole subscriptions, not ad-hoc
 // selections).
-func (t *FlexpathReaderTransport) Get(p *sim.Proc, varName string, version int, _ ndarray.Box) (ndarray.Block, error) {
-	return t.Reader.Fetch(p, varName, version)
+func (t FlexpathReaderTransport) Get(p *sim.Proc, varName string, version int, _ ndarray.Box) (ndarray.Block, error) {
+	return t.Fetch(p, varName, version)
 }

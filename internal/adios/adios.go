@@ -189,13 +189,20 @@ func parseDims(s string) ([]uint64, error) {
 	return dims, nil
 }
 
-// Transport is what ADIOS delegates data movement to. The staging
-// libraries are adapted to it (see adapters.go).
-type Transport interface {
+// WriteTransport is what a Writer delegates data movement to. The
+// DataSpaces and DIMES clients satisfy it directly; Flexpath through
+// FlexpathWriterTransport.
+type WriteTransport interface {
 	// Put stages one variable block of a step.
 	Put(p *sim.Proc, varName string, version int, blk ndarray.Block) error
 	// Commit marks this writer's step complete.
 	Commit(varName string, version int)
+}
+
+// ReadTransport is what a Reader delegates data movement to. The
+// DataSpaces and DIMES clients satisfy it directly; Flexpath through
+// FlexpathReaderTransport.
+type ReadTransport interface {
 	// Get retrieves a box of a step.
 	Get(p *sim.Proc, varName string, version int, box ndarray.Box) (ndarray.Block, error)
 }
@@ -206,7 +213,7 @@ type Writer struct {
 	node  *hpc.Node
 	comp  string
 	group *GroupDecl
-	tr    Transport
+	tr    WriteTransport
 
 	open     bool
 	step     int
@@ -216,7 +223,7 @@ type Writer struct {
 }
 
 // NewWriter creates a writer for the named group on node.
-func NewWriter(m *hpc.Machine, node *hpc.Node, cfg *Config, group, component string, tr Transport) (*Writer, error) {
+func NewWriter(m *hpc.Machine, node *hpc.Node, cfg *Config, group, component string, tr WriteTransport) (*Writer, error) {
 	g, ok := cfg.Groups[group]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownGroup, group)
@@ -281,8 +288,7 @@ func (w *Writer) Close(p *sim.Proc) error {
 
 // Reader is one rank's read path (adios_schedule_read/perform_reads).
 type Reader struct {
-	m    *hpc.Machine
-	tr   Transport
+	tr   ReadTransport
 	reqs []readReq
 }
 
@@ -292,8 +298,8 @@ type readReq struct {
 }
 
 // NewReader creates a reader delegating to the transport.
-func NewReader(m *hpc.Machine, tr Transport) *Reader {
-	return &Reader{m: m, tr: tr}
+func NewReader(tr ReadTransport) *Reader {
+	return &Reader{tr: tr}
 }
 
 // ScheduleRead queues a selection (adios_schedule_read).

@@ -91,7 +91,7 @@ func TestWriterBuffersAndFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWriter(m, m.Nodes[2], cfg, "g", "w0", &DataSpacesTransport{Client: dsc})
+	w, err := NewWriter(m, m.Nodes[2], cfg, "g", "w0", dsc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestWriterBuffersAndFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(m, &DataSpacesTransport{Client: rdc})
+	r := NewReader(rdc)
 
 	e.Spawn("writer", func(p *sim.Proc) error {
 		if err := w.Open(1); err != nil {
@@ -173,17 +173,6 @@ func TestWriteRequiresOpen(t *testing.T) {
 func TestMethodKindString(t *testing.T) {
 	if MethodDataSpaces.String() != "DATASPACES" || MethodMPI.String() != "MPI" {
 		t.Fatal("method names wrong")
-	}
-}
-
-func TestFlexpathAdaptersAreOneDirectional(t *testing.T) {
-	w := &FlexpathWriterTransport{}
-	if _, err := w.Get(nil, "v", 1, ndarray.Box{}); !errors.Is(err, ErrWrongSide) {
-		t.Fatalf("writer Get error = %v, want ErrWrongSide", err)
-	}
-	r := &FlexpathReaderTransport{}
-	if err := r.Put(nil, "v", 1, ndarray.Block{}); !errors.Is(err, ErrWrongSide) {
-		t.Fatalf("reader Put error = %v, want ErrWrongSide", err)
 	}
 }
 

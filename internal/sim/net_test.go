@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +206,33 @@ func TestCappedFlowRate(t *testing.T) {
 	}
 	if !almostEq(end, 5, 1e-6) {
 		t.Fatalf("end = %v, want 5 (capped at 100 B/s)", end)
+	}
+}
+
+// TestLinklessFlowPanics: a flow of positive size with no links could
+// never complete, so starting one panics, which the process surfaces as
+// a PanicError instead of the run ending in a deadlock.
+func TestLinklessFlowPanics(t *testing.T) {
+	e := NewEngine()
+	n := e.NewNet()
+	e.Spawn("p", func(p *Proc) error {
+		_, err := p.Wait(n.StartFlowCapped(100, 5))
+		return err
+	})
+	err := e.Run()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Run error = %v, want a PanicError", err)
+	}
+	if pe.Value != "sim: flow of 100 bytes with no links" {
+		t.Fatalf("panic value = %v", pe.Value)
+	}
+	// Proc.Transfer still reports the same mistake as an error.
+	e = NewEngine()
+	n = e.NewNet()
+	e.Spawn("p", func(p *Proc) error { return p.Transfer(n, 100) })
+	if err := e.Run(); err == nil || errors.As(err, &pe) {
+		t.Fatalf("Transfer with no links: Run error = %v, want a plain error", err)
 	}
 }
 

@@ -102,9 +102,6 @@ func (e *Engine) Now() Time { return e.now }
 // and the pooled schedItem path is unchanged.
 func (e *Engine) SetProfiler(p *prof.Profiler) { e.prof = p }
 
-// Profiler returns the attached profiler (nil when profiling is off).
-func (e *Engine) Profiler() *prof.Profiler { return e.prof }
-
 // SetDeadline makes Run stop (with ErrDeadline wrapped into the run errors)
 // once the virtual clock passes t. Zero or negative means no deadline.
 func (e *Engine) SetDeadline(t Time) {

@@ -104,17 +104,129 @@ func adiosXML(varName string, dims []uint64, method adios.MethodKind, params str
 </adios-config>`, varName, dimStr, method, params)
 }
 
-// dataSpacesCoupler couples through DataSpaces, natively or via ADIOS.
-type dataSpacesCoupler struct {
-	cfg     Config
-	m       *hpc.Machine
+// stagedWriter and stagedReader are a staging library's per-rank
+// clients: the DataSpaces and DIMES clients themselves, or Flexpath's
+// ADIOS adapters.
+type stagedWriter interface {
+	Init(p *sim.Proc) error
+	adios.WriteTransport
+}
+
+type stagedReader interface {
+	Init(p *sim.Proc) error
+	adios.ReadTransport
+}
+
+// stagedCoupler couples through a staging library — DataSpaces, DIMES
+// or Flexpath — natively, or through ADIOS writers and readers built
+// around the same clients when the method row names an ADIOS method.
+type stagedCoupler struct {
 	d       *driver
-	sys     *dataspaces.System
-	writers []*dataspaces.Client
-	readers []*dataspaces.Client
+	writers []stagedWriter
+	readers []stagedReader
 	// ADIOS wrappers (nil for the native path).
 	aw []*adios.Writer
 	ar []*adios.Reader
+	// gate is the library's version gate, poisoned by failGates (nil
+	// when the library has none).
+	gate *staging.Gate
+	// teardown frees the library at shutdown.
+	teardown func()
+}
+
+// newStagedCoupler builds every writer's client with newWriter, then
+// every reader's with newReader, and wraps each in ADIOS when the
+// method row names an ADIOS method, whose XML carries params.
+func newStagedCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, params string,
+	newWriter func(i int, node *hpc.Node, name string) (stagedWriter, error),
+	newReader func(r int, node *hpc.Node, name string) (stagedReader, error),
+) (*stagedCoupler, error) {
+	var xcfg *adios.Config
+	if kind := cfg.Method.traits().adios; kind != 0 {
+		var err error
+		if xcfg, err = adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), kind, params))); err != nil {
+			return nil, err
+		}
+	}
+	c := &stagedCoupler{d: d}
+	for i := 0; i < cfg.SimProcs; i++ {
+		node, name := lay.writerNode(i), fmt.Sprintf("sim-%d", i)
+		w, err := newWriter(i, node, name)
+		if err != nil {
+			return nil, err
+		}
+		c.writers = append(c.writers, w)
+		if xcfg != nil {
+			aw, err := adios.NewWriter(m, node, xcfg, "coupling", name, w)
+			if err != nil {
+				return nil, err
+			}
+			c.aw = append(c.aw, aw)
+		}
+	}
+	for r := 0; r < cfg.AnaProcs; r++ {
+		rd, err := newReader(r, lay.readerNode(r), fmt.Sprintf("ana-%d", r))
+		if err != nil {
+			return nil, err
+		}
+		c.readers = append(c.readers, rd)
+		if xcfg != nil {
+			c.ar = append(c.ar, adios.NewReader(rd))
+		}
+	}
+	return c, nil
+}
+
+func (c *stagedCoupler) initWriter(p *sim.Proc, i int) error { return c.writers[i].Init(p) }
+func (c *stagedCoupler) initReader(p *sim.Proc, r int) error { return c.readers[r].Init(p) }
+
+func (c *stagedCoupler) put(p *sim.Proc, i, step int, blk ndarray.Block) error {
+	if c.aw != nil {
+		w := c.aw[i]
+		if err := w.Open(step); err != nil {
+			return err
+		}
+		if err := w.Write(p, c.d.varName, blk); err != nil {
+			return err
+		}
+		return w.Close(p)
+	}
+	return c.writers[i].Put(p, c.d.varName, step, blk)
+}
+
+func (c *stagedCoupler) commit(i, step int) {
+	if c.aw != nil {
+		return // adios.Writer.Close already committed
+	}
+	c.writers[i].Commit(c.d.varName, step)
+}
+
+func (c *stagedCoupler) get(p *sim.Proc, r, step int) (ndarray.Block, int, error) {
+	if c.ar != nil {
+		c.ar[r].ScheduleRead(c.d.varName, c.d.readerBox(r))
+		blocks, err := c.ar[r].PerformReads(p, step)
+		if err != nil {
+			return ndarray.Block{}, step, err
+		}
+		return blocks[0], step, nil
+	}
+	blk, err := c.readers[r].Get(p, c.d.varName, step, c.d.readerBox(r))
+	return blk, step, err
+}
+
+func (c *stagedCoupler) shutdown() { c.teardown() }
+
+func (c *stagedCoupler) failGates(cause error) {
+	if c.gate != nil {
+		c.gate.Fail(cause)
+	}
+}
+
+// dataSpacesCoupler is the staged path plus DataSpaces' replication
+// recovery report.
+type dataSpacesCoupler struct {
+	*stagedCoupler
+	sys *dataspaces.System
 }
 
 func newDataSpacesCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, det *staging.Detector) (coupler, error) {
@@ -136,109 +248,29 @@ func newDataSpacesCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, de
 	if err := sys.DefineDims(d.varName, d.global); err != nil {
 		return nil, err
 	}
-	c := &dataSpacesCoupler{cfg: cfg, m: m, d: d, sys: sys}
-	for i := 0; i < cfg.SimProcs; i++ {
-		cl, err := sys.NewClient(lay.writerNode(i), "sim", fmt.Sprintf("sim-%d", i), d.perStepBytes)
-		if err != nil {
-			return nil, err
-		}
-		c.writers = append(c.writers, cl)
+	c, err := newStagedCoupler(cfg, m, d, lay, "lock_type=2;hash_version=2;max_versions=1",
+		func(_ int, node *hpc.Node, name string) (stagedWriter, error) {
+			return sys.NewClient(node, "sim", name, d.perStepBytes)
+		},
+		func(_ int, node *hpc.Node, name string) (stagedReader, error) {
+			return sys.NewClient(node, "analytics", name, d.perStepBytes)
+		})
+	if err != nil {
+		return nil, err
 	}
-	for r := 0; r < cfg.AnaProcs; r++ {
-		cl, err := sys.NewClient(lay.readerNode(r), "analytics", fmt.Sprintf("ana-%d", r), d.perStepBytes)
-		if err != nil {
-			return nil, err
-		}
-		c.readers = append(c.readers, cl)
-	}
-	if kind := cfg.Method.traits().adios; kind != 0 {
-		xcfg, err := adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), kind,
-			"lock_type=2;hash_version=2;max_versions=1")))
-		if err != nil {
-			return nil, err
-		}
-		for i, cl := range c.writers {
-			w, err := adios.NewWriter(m, lay.writerNode(i), xcfg, "coupling",
-				fmt.Sprintf("sim-%d", i), &adios.DataSpacesTransport{Client: cl})
-			if err != nil {
-				return nil, err
-			}
-			c.aw = append(c.aw, w)
-		}
-		for _, cl := range c.readers {
-			c.ar = append(c.ar, adios.NewReader(m, &adios.DataSpacesTransport{Client: cl}))
-		}
-	}
-	return c, nil
+	c.gate, c.teardown = sys.Gate(), sys.Shutdown
+	return &dataSpacesCoupler{stagedCoupler: c, sys: sys}, nil
 }
-
-func (c *dataSpacesCoupler) initWriter(p *sim.Proc, i int) error { return c.writers[i].Init(p) }
-func (c *dataSpacesCoupler) initReader(p *sim.Proc, r int) error { return c.readers[r].Init(p) }
-
-func (c *dataSpacesCoupler) put(p *sim.Proc, i, step int, blk ndarray.Block) error {
-	if c.aw != nil {
-		w := c.aw[i]
-		if err := w.Open(step); err != nil {
-			return err
-		}
-		if err := w.Write(p, c.d.varName, blk); err != nil {
-			return err
-		}
-		return w.Close(p)
-	}
-	return c.writers[i].Put(p, c.d.varName, step, blk)
-}
-
-func (c *dataSpacesCoupler) commit(i, step int) {
-	if c.aw != nil {
-		return // adios.Writer.Close already committed
-	}
-	c.writers[i].Commit(c.d.varName, step)
-}
-
-func (c *dataSpacesCoupler) get(p *sim.Proc, r, step int) (ndarray.Block, int, error) {
-	if c.ar != nil {
-		c.ar[r].ScheduleRead(c.d.varName, c.d.readerBox(r))
-		blocks, err := c.ar[r].PerformReads(p, step)
-		if err != nil {
-			return ndarray.Block{}, step, err
-		}
-		return blocks[0], step, nil
-	}
-	blk, err := c.readers[r].Get(p, c.d.varName, step, c.d.readerBox(r))
-	return blk, step, err
-}
-
-func (c *dataSpacesCoupler) shutdown() { c.sys.Shutdown() }
-
-func (c *dataSpacesCoupler) failGates(cause error) { c.sys.Gate().Fail(cause) }
 
 func (c *dataSpacesCoupler) resilienceOutcome() resilienceOutcome {
-	recovered, objects, bytes, t := c.sys.RecoveryStats()
-	return resilienceOutcome{
-		Recovered:    recovered,
-		RecoveryTime: t,
-		ReRepObjects: objects,
-		ReRepBytes:   bytes,
-	}
-}
-
-// dimesCoupler couples through DIMES, natively or via ADIOS.
-type dimesCoupler struct {
-	cfg     Config
-	d       *driver
-	sys     *dimes.System
-	writers []*dimes.Client
-	readers []*dimes.Client
-	aw      []*adios.Writer
-	ar      []*adios.Reader
+	recovered, _, bytes, t := c.sys.RecoveryStats()
+	return resilienceOutcome{Recovered: recovered, RecoveryTime: t, ReRepBytes: bytes}
 }
 
 func newDIMESCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, _ *staging.Detector) (coupler, error) {
-	row := cfg.Method.traits()
 	bufBytes := cfg.RDMABufBytes
 	if bufBytes == 0 {
-		bufBytes = row.rdmaBufBytes
+		bufBytes = cfg.Method.traits().rdmaBufBytes
 	}
 	sys, err := dimes.Deploy(m, dimes.Config{
 		MetaServers:        cfg.servers(),
@@ -251,162 +283,60 @@ func newDIMESCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, _ *stag
 	if err != nil {
 		return nil, err
 	}
-	c := &dimesCoupler{cfg: cfg, d: d, sys: sys}
-	for i := 0; i < cfg.SimProcs; i++ {
-		cl, err := sys.NewClient(lay.writerNode(i), "sim", fmt.Sprintf("sim-%d", i), d.perStepBytes)
-		if err != nil {
-			return nil, err
-		}
-		c.writers = append(c.writers, cl)
+	c, err := newStagedCoupler(cfg, m, d, lay, "max_versions=1",
+		func(_ int, node *hpc.Node, name string) (stagedWriter, error) {
+			return sys.NewClient(node, "sim", name, d.perStepBytes)
+		},
+		func(_ int, node *hpc.Node, name string) (stagedReader, error) {
+			return sys.NewClient(node, "analytics", name, d.perStepBytes)
+		})
+	if err != nil {
+		return nil, err
 	}
-	for r := 0; r < cfg.AnaProcs; r++ {
-		cl, err := sys.NewClient(lay.readerNode(r), "analytics", fmt.Sprintf("ana-%d", r), d.perStepBytes)
-		if err != nil {
-			return nil, err
-		}
-		c.readers = append(c.readers, cl)
-	}
-	if row.adios != 0 {
-		xcfg, err := adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), row.adios,
-			"max_versions=1")))
-		if err != nil {
-			return nil, err
-		}
-		for i, cl := range c.writers {
-			w, err := adios.NewWriter(m, lay.writerNode(i), xcfg, "coupling",
-				fmt.Sprintf("sim-%d", i), &adios.DIMESTransport{Client: cl})
-			if err != nil {
-				return nil, err
-			}
-			c.aw = append(c.aw, w)
-		}
-		for _, cl := range c.readers {
-			c.ar = append(c.ar, adios.NewReader(m, &adios.DIMESTransport{Client: cl}))
-		}
-	}
+	c.gate, c.teardown = sys.Gate(), sys.Shutdown
 	return c, nil
 }
 
-func (c *dimesCoupler) initWriter(p *sim.Proc, i int) error { return c.writers[i].Init(p) }
-func (c *dimesCoupler) initReader(p *sim.Proc, r int) error { return c.readers[r].Init(p) }
-
-func (c *dimesCoupler) put(p *sim.Proc, i, step int, blk ndarray.Block) error {
-	if c.aw != nil {
-		w := c.aw[i]
-		if err := w.Open(step); err != nil {
-			return err
-		}
-		if err := w.Write(p, c.d.varName, blk); err != nil {
-			return err
-		}
-		return w.Close(p)
-	}
-	return c.writers[i].Put(p, c.d.varName, step, blk)
-}
-
-func (c *dimesCoupler) commit(i, step int) {
-	if c.aw != nil {
-		return
-	}
-	c.writers[i].Commit(c.d.varName, step)
-}
-
-func (c *dimesCoupler) get(p *sim.Proc, r, step int) (ndarray.Block, int, error) {
-	if c.ar != nil {
-		c.ar[r].ScheduleRead(c.d.varName, c.d.readerBox(r))
-		blocks, err := c.ar[r].PerformReads(p, step)
-		if err != nil {
-			return ndarray.Block{}, step, err
-		}
-		return blocks[0], step, nil
-	}
-	blk, err := c.readers[r].Get(p, c.d.varName, step, c.d.readerBox(r))
-	return blk, step, err
-}
-
-func (c *dimesCoupler) shutdown() { c.sys.Shutdown() }
-
-func (c *dimesCoupler) failGates(cause error) { c.sys.Gate().Fail(cause) }
-
-// flexpathCoupler couples through Flexpath behind ADIOS (its usual form).
-type flexpathCoupler struct {
-	cfg     Config
-	d       *driver
-	writers []*flexpath.Writer
-	readers []*flexpath.Reader
-	aw      []*adios.Writer
-	ar      []*adios.Reader
-}
-
+// newFlexpathCoupler couples through Flexpath behind ADIOS (its usual
+// form). It has no version gate.
 func newFlexpathCoupler(cfg Config, m *hpc.Machine, d *driver, lay *layout, _ *staging.Detector) (coupler, error) {
 	sys := flexpath.Deploy(m, flexpath.Config{
 		Mode:      cfg.transport(),
 		QueueSize: cfg.queueSize(),
 	})
-	c := &flexpathCoupler{cfg: cfg, d: d}
-	xcfg, err := adios.ParseConfig([]byte(adiosXML(d.varName, d.global.Dims(), cfg.Method.traits().adios,
-		"queue_size=1;CMTransport=nnti")))
+	var writers []*flexpath.Writer
+	var readers []*flexpath.Reader
+	c, err := newStagedCoupler(cfg, m, d, lay, "queue_size=1;CMTransport=nnti",
+		func(i int, node *hpc.Node, name string) (stagedWriter, error) {
+			w, err := sys.NewWriter(node, "sim", name, d.perStepBytes)
+			if err != nil {
+				return nil, err
+			}
+			w.Declare(d.varName, d.writerBox(i))
+			writers = append(writers, w)
+			return adios.FlexpathWriterTransport{Writer: w}, nil
+		},
+		func(r int, node *hpc.Node, name string) (stagedReader, error) {
+			rd, err := sys.NewReader(node, "analytics", name, d.perStepBytes)
+			if err != nil {
+				return nil, err
+			}
+			rd.Subscribe(d.varName, d.readerBox(r))
+			readers = append(readers, rd)
+			return adios.FlexpathReaderTransport{Reader: rd}, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.SimProcs; i++ {
-		w, err := sys.NewWriter(lay.writerNode(i), "sim", fmt.Sprintf("sim-%d", i), d.perStepBytes)
-		if err != nil {
-			return nil, err
+	c.teardown = func() {
+		for _, w := range writers {
+			w.Close()
 		}
-		w.Declare(d.varName, d.writerBox(i))
-		c.writers = append(c.writers, w)
-		aw, err := adios.NewWriter(m, lay.writerNode(i), xcfg, "coupling",
-			fmt.Sprintf("sim-%d", i), &adios.FlexpathWriterTransport{Writer: w})
-		if err != nil {
-			return nil, err
+		for _, r := range readers {
+			r.Close()
 		}
-		c.aw = append(c.aw, aw)
-	}
-	for r := 0; r < cfg.AnaProcs; r++ {
-		rd, err := sys.NewReader(lay.readerNode(r), "analytics", fmt.Sprintf("ana-%d", r), d.perStepBytes)
-		if err != nil {
-			return nil, err
-		}
-		rd.Subscribe(d.varName, d.readerBox(r))
-		c.readers = append(c.readers, rd)
-		c.ar = append(c.ar, adios.NewReader(m, &adios.FlexpathReaderTransport{Reader: rd}))
 	}
 	return c, nil
-}
-
-func (c *flexpathCoupler) initWriter(p *sim.Proc, i int) error { return c.writers[i].Init(p) }
-func (c *flexpathCoupler) initReader(p *sim.Proc, r int) error { return c.readers[r].Init(p) }
-
-func (c *flexpathCoupler) put(p *sim.Proc, i, step int, blk ndarray.Block) error {
-	w := c.aw[i]
-	if err := w.Open(step); err != nil {
-		return err
-	}
-	if err := w.Write(p, c.d.varName, blk); err != nil {
-		return err
-	}
-	return w.Close(p)
-}
-
-func (c *flexpathCoupler) commit(int, int) {} // publication is the commit
-
-func (c *flexpathCoupler) get(p *sim.Proc, r, step int) (ndarray.Block, int, error) {
-	c.ar[r].ScheduleRead(c.d.varName, c.d.readerBox(r))
-	blocks, err := c.ar[r].PerformReads(p, step)
-	if err != nil {
-		return ndarray.Block{}, step, err
-	}
-	return blocks[0], step, nil
-}
-
-func (c *flexpathCoupler) shutdown() {
-	for _, w := range c.writers {
-		w.Close()
-	}
-	for _, r := range c.readers {
-		r.Close()
-	}
 }
 
 // decafCoupler couples through the Decaf dataflow graph.

@@ -95,39 +95,53 @@ func TestDRCShardsResolveStorm(t *testing.T) {
 	}
 }
 
+// TestADIOSPathSlightlySlowerThanNative runs each staging library that
+// the paper uses both natively and through ADIOS, on both routes.
 func TestADIOSPathSlightlySlowerThanNative(t *testing.T) {
-	base := Config{
-		Machine:  hpc.Titan(),
-		Workload: WorkloadLAMMPS,
-		SimProcs: 64, AnaProcs: 32, Steps: 3,
-	}
-	native := base
-	native.Method = MethodDataSpacesNative
-	rn, err := Run(native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adios := base
-	adios.Method = MethodDataSpacesADIOS
-	ra, err := Run(adios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn.Failed || ra.Failed {
-		t.Fatalf("runs failed: %v %v", rn.FailErr, ra.FailErr)
-	}
-	// The framework adds a buffered copy per write: slightly slower, never
-	// faster, and within a few percent (the paper's ADIOS and native
-	// curves nearly overlap).
-	if ra.EndToEnd < rn.EndToEnd {
-		t.Fatalf("ADIOS %.3f faster than native %.3f", ra.EndToEnd, rn.EndToEnd)
-	}
-	if ra.EndToEnd > rn.EndToEnd*1.1 {
-		t.Fatalf("ADIOS %.3f more than 10%% over native %.3f", ra.EndToEnd, rn.EndToEnd)
-	}
-	// And it buffers: the ADIOS path's client peak includes the copy.
-	if ra.SimPeakBytes <= rn.SimPeakBytes {
-		t.Fatalf("ADIOS sim peak %d <= native %d, want extra buffer", ra.SimPeakBytes, rn.SimPeakBytes)
+	for _, pair := range [][2]Method{
+		{MethodDataSpacesNative, MethodDataSpacesADIOS},
+		{MethodDIMESNative, MethodDIMESADIOS},
+	} {
+		base := Config{
+			Machine:  hpc.Titan(),
+			Workload: WorkloadLAMMPS,
+			SimProcs: 64, AnaProcs: 32, Steps: 3,
+		}
+		native := base
+		native.Method = pair[0]
+		rn, err := Run(native)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adios := base
+		adios.Method = pair[1]
+		ra, err := Run(adios)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rn.Failed || ra.Failed {
+			t.Fatalf("%v: runs failed: %v %v", pair, rn.FailErr, ra.FailErr)
+		}
+		// The framework adds a buffered copy per write: slightly slower,
+		// never faster, and within a few percent (the paper's ADIOS and
+		// native curves nearly overlap).
+		if ra.EndToEnd < rn.EndToEnd {
+			t.Fatalf("%v: ADIOS %.3f faster than native %.3f", pair, ra.EndToEnd, rn.EndToEnd)
+		}
+		if ra.EndToEnd > rn.EndToEnd*1.1 {
+			t.Fatalf("%v: ADIOS %.3f more than 10%% over native %.3f", pair, ra.EndToEnd, rn.EndToEnd)
+		}
+		// And it buffers: the ADIOS path's client peak includes the copy,
+		// which the native path never allocates.
+		if ra.SimPeakBytes <= rn.SimPeakBytes {
+			t.Fatalf("%v: ADIOS sim peak %d <= native %d, want extra buffer", pair, ra.SimPeakBytes, rn.SimPeakBytes)
+		}
+		if got := rn.Tracker.Component("sim-0").PeakOf("adios-buffer"); got != 0 {
+			t.Fatalf("%v: native sim-0 adios-buffer peak %d, want 0", pair, got)
+		}
+		if got := ra.Tracker.Component("sim-0").PeakOf("adios-buffer"); got <= 0 {
+			t.Fatalf("%v: ADIOS sim-0 adios-buffer peak %d, want > 0", pair, got)
+		}
 	}
 }
 

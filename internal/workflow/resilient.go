@@ -15,7 +15,6 @@ import (
 type resilienceOutcome struct {
 	Recovered    bool
 	RecoveryTime sim.Time
-	ReRepObjects int64
 	ReRepBytes   int64
 
 	CkptWrites      int64
@@ -231,7 +230,6 @@ func (rc *resilientCoupler) resilienceOutcome() resilienceOutcome {
 		in := rr.resilienceOutcome()
 		out.Recovered = in.Recovered
 		out.RecoveryTime = in.RecoveryTime
-		out.ReRepObjects = in.ReRepObjects
 		out.ReRepBytes = in.ReRepBytes
 	}
 	return out
