@@ -1,7 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// Processes are goroutines scheduled cooperatively against a virtual clock:
-// exactly one process executes at any instant, so simulations are
+// Processes are coroutines (iter.Pull) scheduled cooperatively against a
+// virtual clock. Each process keeps its own goroutine stack, but the engine
+// switches to it and back directly, without going through the Go scheduler
+// (race-detector builds hand off over channels instead; see coro_race.go).
+// Exactly one process executes at any instant, so simulations are
 // deterministic and free of data races by construction. The engine provides
 // three coordination primitives used by the rest of the testbed:
 //
@@ -44,10 +47,9 @@ type wakeMsg struct {
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now     Time
-	queue   eventHeap
-	seq     int64
-	yielded chan struct{}
+	now   Time
+	queue eventHeap
+	seq   int64
 
 	live     int
 	blocked  map[*Proc]struct{}
@@ -73,13 +75,11 @@ type Engine struct {
 	lastProgress Time
 
 	maxTime Time
-	stopped bool
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{
-		yielded:  make(chan struct{}),
 		blocked:  make(map[*Proc]struct{}),
 		maxTime:  math.Inf(1),
 		failFast: true,
@@ -113,13 +113,17 @@ func (e *Engine) SetDeadline(t Time) {
 }
 
 // Proc is a handle to a simulated process. All blocking operations must be
-// invoked from the process's own goroutine.
+// invoked from the process's own function.
 type Proc struct {
 	e    *Engine
 	name string
-	wake chan wakeMsg
 	done bool
 	err  error
+
+	// handoff switches control between the engine and the process; msg
+	// carries the engine's wake-up into the process.
+	handoff
+	msg wakeMsg
 
 	// waitingOn and blockedSince describe the current block for stall and
 	// deadlock diagnostics; wait sites (events, resources, gates) label
@@ -144,25 +148,22 @@ func (p *Proc) Now() Time { return p.e.now }
 func (p *Proc) Engine() *Engine { return p.e }
 
 // Spawn registers a new process that starts at the current virtual time.
-// fn runs in its own goroutine; a non-nil returned error is collected and
-// reported by Run. Spawn may be called before Run or from a running process.
+// fn runs as a coroutine on its own goroutine stack; a non-nil returned
+// error is collected and reported by Run. Spawn may be called before Run or
+// from a running process.
 func (e *Engine) Spawn(name string, fn func(p *Proc) error) *Proc {
-	p := &Proc{e: e, name: name, wake: make(chan wakeMsg, 1)}
+	p := &Proc{e: e, name: name}
 	e.live++
 	e.lastProgress = e.now
 	e.procs = append(e.procs, p)
-	go func() {
-		msg := <-p.wake
-		var err error
-		if msg.aborted {
-			err = ErrAborted
+	p.start(func() {
+		if p.msg.aborted {
+			p.err = ErrAborted
 		} else {
-			err = runProc(p, fn)
+			p.err = runProc(p, fn)
 		}
 		p.done = true
-		p.err = err
-		e.yielded <- struct{}{}
-	}()
+	})
 	e.schedule(e.now, p, nil)
 	return p
 }
@@ -170,7 +171,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc) error) *Proc {
 // runProc executes a process body, converting a panic into a structured
 // error instead of tearing down the host: the deferred recover runs
 // while the process still holds the engine's execution turn, so the
-// normal done/yield handshake below proceeds and the engine stays sane.
+// coroutine finishes normally and the engine stays sane.
 func runProc(p *Proc, fn func(p *Proc) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -233,10 +234,10 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	return Handle{it, it.seq}
 }
 
-// resume hands control to p and waits for it to yield back.
+// resume switches to p and returns when it yields back or finishes.
 func (e *Engine) resume(p *Proc, msg wakeMsg) {
-	p.wake <- msg
-	<-e.yielded
+	p.msg = msg
+	p.switchTo()
 	if p.done {
 		e.live--
 		e.lastProgress = e.now
@@ -249,11 +250,11 @@ func (e *Engine) resume(p *Proc, msg wakeMsg) {
 	}
 }
 
-// yield blocks the calling process until the engine wakes it again.
-// It must only be called from the process's goroutine.
+// yield switches back to the engine and returns the message the engine
+// wakes the process with. It must only be called from the process itself.
 func (p *Proc) yield() wakeMsg {
-	p.e.yielded <- struct{}{}
-	return <-p.wake
+	p.switchBack()
+	return p.msg
 }
 
 // block parks the process with no scheduled wake-up; something else (an
@@ -314,8 +315,9 @@ func (e *Engine) Run() error {
 			deadlineHit = true
 			e.errs = append(e.errs, fmt.Errorf("%w: %.3fs", ErrDeadline, e.maxTime))
 			// The popped item is in neither the queue nor the blocked map;
-			// abort its process here or the goroutine leaks and the run is
-			// misreported as a deadlock.
+			// abort its process here, or its coroutine stays suspended
+			// forever (its goroutine leaks) and the run is misreported as
+			// a deadlock.
 			if it.proc != nil && !it.proc.done {
 				e.resume(it.proc, wakeMsg{aborted: true})
 			}
@@ -373,10 +375,9 @@ func (e *Engine) Run() error {
 	return errors.Join(e.errs...)
 }
 
-// abortAll wakes every live process with an abort signal so its goroutine
+// abortAll wakes every live process with an abort signal so its coroutine
 // unwinds; used on deadlock and shutdown so Run leaks no goroutines.
 func (e *Engine) abortAll() {
-	e.stopped = true
 	// Drain scheduled wake-ups first so procs are not woken twice.
 	for e.queue.Len() > 0 {
 		it := heap.Pop(&e.queue).(*schedItem)

@@ -3,7 +3,9 @@ package sim
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -215,5 +217,115 @@ func TestDeadlineIsNotDeadlock(t *testing.T) {
 	}
 	if e.live != 0 {
 		t.Fatalf("live = %d after deadline abort, want 0", e.live)
+	}
+}
+
+// TestGoexitInProcessEndsRun checks that a process calling runtime.Goexit
+// (as t.FailNow does) does not wedge Run: the coroutine switch passes the
+// Goexit on to Run's goroutine, which unwinds instead of waiting forever.
+func TestGoexitInProcessEndsRun(t *testing.T) {
+	done := make(chan struct{})
+	returned := false
+	go func() {
+		defer close(done)
+		e := NewEngine()
+		e.Spawn("quitter", func(p *Proc) error {
+			if err := p.Sleep(1); err != nil {
+				return err
+			}
+			runtime.Goexit()
+			return nil
+		})
+		_ = e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run still blocked 5 s after a process called runtime.Goexit")
+	}
+	if returned {
+		t.Fatal("Run returned normally; want the Goexit passed on to its goroutine")
+	}
+}
+
+// TestRunLeaksNoGoroutines checks every way Run can end leaves no process
+// behind: each case has processes queued, blocked and finished when the
+// run stops, and the goroutine count must come back to where it started.
+func TestRunLeaksNoGoroutines(t *testing.T) {
+	boom := errors.New("boom")
+	park := func(e *Engine, ev *Event) {
+		e.Spawn("parked", func(p *Proc) error {
+			_, err := p.Wait(ev)
+			return err
+		})
+	}
+	tick := func(e *Engine) {
+		e.Spawn("ticker", func(p *Proc) error {
+			for {
+				if err := p.Sleep(0.5); err != nil {
+					return err
+				}
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(e *Engine)
+		want  error
+	}{
+		{"clean", func(e *Engine) {
+			ev := e.NewEvent()
+			park(e, ev)
+			e.Spawn("firer", func(p *Proc) error {
+				if err := p.Sleep(2); err != nil {
+					return err
+				}
+				ev.Fire(nil)
+				return nil
+			})
+		}, nil},
+		{"deadlock", func(e *Engine) {
+			park(e, e.NewEvent())
+			e.Spawn("sleeper", func(p *Proc) error { return p.Sleep(1) })
+		}, ErrDeadlock},
+		{"deadline", func(e *Engine) {
+			e.SetDeadline(5)
+			park(e, e.NewEvent())
+			tick(e)
+			e.Spawn("long", func(p *Proc) error { return p.Sleep(100) })
+		}, ErrDeadline},
+		{"stall", func(e *Engine) {
+			e.SetStallHorizon(5)
+			park(e, e.NewEvent())
+			tick(e)
+		}, ErrStalled},
+		{"fail-fast", func(e *Engine) {
+			park(e, e.NewEvent())
+			tick(e)
+			e.Spawn("failing", func(p *Proc) error {
+				if err := p.Sleep(1); err != nil {
+					return err
+				}
+				return boom
+			})
+		}, boom},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine()
+			tc.setup(e)
+			err := e.Run()
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Run error = %v, want %v", err, tc.want)
+			}
+			settle := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(settle) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines after Run, %d before", after, before)
+			}
+		})
 	}
 }
