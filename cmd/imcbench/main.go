@@ -8,7 +8,7 @@
 //	imcbench chaos [-smoke] [-out report.json] [-csv cells.csv]
 //
 // Experiments: table1 table2 table3 table4 table5 fig2a fig2b fig3 fig4
-// fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 findings mitigations
+// fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 mitigations
 // ablations gpustudy resilience resilience-cost
 //
 // The -cpuprofile, -memprofile and -traceprofile flags wrap the selected
@@ -172,18 +172,11 @@ func registry(o imcstudy.ExperimentOptions) map[string]func() []*imcstudy.Result
 		"fig11":           one(imcstudy.Fig11),
 		"fig12":           one(imcstudy.Fig12),
 		"fig13":           many(imcstudy.Fig13),
-		"findings":        findingsTables(o),
 		"mitigations":     one(imcstudy.Mitigations),
 		"ablations":       many(imcstudy.Ablations),
 		"gpustudy":        one(imcstudy.GPUStudy),
 		"resilience":      one(imcstudy.Resilience),
 		"resilience-cost": one(imcstudy.ResilienceCost),
-	}
-}
-
-func findingsTables(o imcstudy.ExperimentOptions) func() []*imcstudy.ResultTable {
-	return func() []*imcstudy.ResultTable {
-		return []*imcstudy.ResultTable{imcstudy.Table5(o)}
 	}
 }
 

@@ -107,10 +107,10 @@ type System struct {
 	owners map[staging.Key]*ownerSet
 }
 
-// ownerSet is the registry of one version: block i was registered by
-// clients[i] with box i of index, in registration order. Entries of
-// clients that have since evicted the version stay (a Get reaching one
-// fails through that client's store) until no client holds it.
+// ownerSet is the registry of one version: block i of index was
+// registered by clients[i], in registration order. Entries of clients
+// that have since evicted the version stay (a Get reaching one fails
+// through that client's store) until no client holds it.
 type ownerSet struct {
 	index   ndarray.BoxIndex
 	clients []*Client
@@ -120,7 +120,7 @@ type ownerSet struct {
 
 // add registers c as the owner of a block covering box.
 func (s *ownerSet) add(box ndarray.Box, c *Client) {
-	s.index.Add(box.Clone())
+	s.index.Add(ndarray.NewSyntheticBlock(box.Clone()))
 	s.clients = append(s.clients, c)
 }
 

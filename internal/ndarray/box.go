@@ -103,19 +103,22 @@ func (b Box) Clone() Box {
 	return c
 }
 
-// Intersect returns the overlap of two boxes and whether it is non-empty.
+// Intersect returns the overlap of two boxes and whether it is
+// non-empty. An empty overlap costs no allocation.
 func (b Box) Intersect(o Box) (Box, bool) {
 	if len(b.Lo) != len(o.Lo) {
 		return Box{}, false
+	}
+	for i := range b.Lo {
+		if max(b.Lo[i], o.Lo[i]) >= min(b.Hi[i], o.Hi[i]) {
+			return Box{}, false
+		}
 	}
 	lo := make([]uint64, len(b.Lo))
 	hi := make([]uint64, len(b.Lo))
 	for i := range b.Lo {
 		lo[i] = max(b.Lo[i], o.Lo[i])
 		hi[i] = min(b.Hi[i], o.Hi[i])
-		if lo[i] >= hi[i] {
-			return Box{}, false
-		}
 	}
 	return Box{Lo: lo, Hi: hi}, true
 }

@@ -6,46 +6,60 @@ import (
 	"sort"
 )
 
-// BoxIndex finds which of a growing list of boxes overlap a query box.
-// Hits come back as insertion indices in ascending order — exactly the
-// subset and order a linear Overlaps scan would produce — so callers
-// that act on hits in order (sending, assembling) behave as if they had
-// scanned.
+// BoxIndex holds a growing list of blocks and finds which of them
+// overlap a query box. Hits come back as insertion indices in ascending
+// order — exactly the subset and order a linear Overlaps scan would
+// produce — so callers that act on hits in order (sending, assembling)
+// behave as if they had scanned.
 //
-// For each dimension d the index keeps the box indices ordered by
-// Lo[d] and the widest extent along d. A box can reach into a query
+// Sets of up to linearScanMax blocks are scanned. For larger sets the
+// index keeps, for each dimension d, the block indices ordered by
+// Lo[d] and the widest extent along d. A block can reach into a query
 // only if its Lo[d] lies in [query.Lo[d]-maxW, query.Hi[d]), so a query
-// bisects that window in every dimension and tests only the boxes of
+// bisects that window in every dimension and tests only the blocks of
 // the narrowest one. The ordering is rebuilt lazily at the first query
-// after an Add. All boxes of one index must share a rank.
+// after an Add. All blocks of one index must share a rank.
 type BoxIndex struct {
-	boxes []Box
-	byDim [][]int32
-	maxW  []uint64
-	stale bool
-	// tested counts boxes tested for overlap over all queries.
+	blocks []Block
+	byDim  [][]int32
+	maxW   []uint64
+	stale  bool
+	// tested counts blocks tested for overlap over all queries.
 	tested int64
 }
 
-// Add appends b; its insertion index is the number of boxes added
+// linearScanMax is the largest set a query scans without the
+// per-dimension orderings. Many sets never grow past one block (a DIMES
+// or Flexpath client's store holds one per version), and for those the
+// orderings would be allocated only to be bisected down to that block.
+const linearScanMax = 8
+
+// Add appends blk; its insertion index is the number of blocks added
 // before it.
-func (x *BoxIndex) Add(b Box) {
-	x.boxes = append(x.boxes, b)
+func (x *BoxIndex) Add(blk Block) {
+	x.blocks = append(x.blocks, blk)
 	x.stale = true
 }
 
-// Tested returns how many boxes all queries so far have tested for
-// overlap: the index's work, as opposed to the len(boxes) per query of a
-// linear scan.
+// Blocks returns the blocks in insertion order. The slice is the
+// index's own; callers must not modify it.
+func (x *BoxIndex) Blocks() []Block { return x.blocks }
+
+// Tested returns how many blocks all queries so far have tested for
+// overlap: the index's work, as opposed to the len(blocks) per query of
+// a linear scan.
 func (x *BoxIndex) Tested() int64 { return x.tested }
 
-// Overlapping appends to dst the insertion indices of the boxes that
+// Overlapping appends to dst the insertion indices of the blocks that
 // overlap box, in ascending order, and returns the extended slice.
 func (x *BoxIndex) Overlapping(box Box, dst []int32) []int32 {
+	if len(x.blocks) <= linearScanMax {
+		return x.scan(box, dst)
+	}
 	if x.stale {
 		x.rebuild()
 	}
-	bestD, bestLo, bestHi := -1, 0, len(x.boxes)
+	bestD, bestLo, bestHi := -1, 0, len(x.blocks)
 	for d, idx := range x.byDim {
 		if d >= len(box.Lo) {
 			break
@@ -54,25 +68,19 @@ func (x *BoxIndex) Overlapping(box Box, dst []int32) []int32 {
 		if box.Lo[d] > x.maxW[d] {
 			minLo = box.Lo[d] - x.maxW[d]
 		}
-		lo := sort.Search(len(idx), func(k int) bool { return x.boxes[idx[k]].Lo[d] >= minLo })
-		hi := sort.Search(len(idx), func(k int) bool { return x.boxes[idx[k]].Lo[d] >= box.Hi[d] })
+		lo := sort.Search(len(idx), func(k int) bool { return x.blocks[idx[k]].Box.Lo[d] >= minLo })
+		hi := sort.Search(len(idx), func(k int) bool { return x.blocks[idx[k]].Box.Lo[d] >= box.Hi[d] })
 		if bestD < 0 || hi-lo < bestHi-bestLo {
 			bestD, bestLo, bestHi = d, lo, hi
 		}
 	}
-	start := len(dst)
 	if bestD < 0 {
-		for i, b := range x.boxes {
-			x.tested++
-			if b.Overlaps(box) {
-				dst = append(dst, int32(i))
-			}
-		}
-		return dst
+		return x.scan(box, dst)
 	}
+	start := len(dst)
 	for _, i := range x.byDim[bestD][bestLo:bestHi] {
 		x.tested++
-		if x.boxes[i].Overlaps(box) {
+		if x.blocks[i].Box.Overlaps(box) {
 			dst = append(dst, i)
 		}
 	}
@@ -80,25 +88,36 @@ func (x *BoxIndex) Overlapping(box Box, dst []int32) []int32 {
 	return dst
 }
 
+// scan tests every block in insertion order.
+func (x *BoxIndex) scan(box Box, dst []int32) []int32 {
+	for i, blk := range x.blocks {
+		x.tested++
+		if blk.Box.Overlaps(box) {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
+}
+
 // rebuild re-sorts every dimension's permutation and recomputes its
 // widest extent.
 func (x *BoxIndex) rebuild() {
 	x.stale = false
-	nd := len(x.boxes[0].Lo)
+	nd := len(x.blocks[0].Box.Lo)
 	if cap(x.byDim) < nd {
 		x.byDim = make([][]int32, nd)
 		x.maxW = make([]uint64, nd)
 	}
 	x.byDim, x.maxW = x.byDim[:nd], x.maxW[:nd]
 	for d := 0; d < nd; d++ {
-		idx := x.byDim[d][:0]
+		idx := slices.Grow(x.byDim[d][:0], len(x.blocks))
 		x.maxW[d] = 0
-		for i, b := range x.boxes {
+		for i, blk := range x.blocks {
 			idx = append(idx, int32(i))
-			x.maxW[d] = max(x.maxW[d], b.Hi[d]-b.Lo[d])
+			x.maxW[d] = max(x.maxW[d], blk.Box.Hi[d]-blk.Box.Lo[d])
 		}
 		slices.SortFunc(idx, func(a, b int32) int {
-			return cmp.Compare(x.boxes[a].Lo[d], x.boxes[b].Lo[d])
+			return cmp.Compare(x.blocks[a].Box.Lo[d], x.blocks[b].Box.Lo[d])
 		})
 		x.byDim[d] = idx
 	}

@@ -44,6 +44,10 @@ func FuzzBoxIndex(f *testing.F) {
 	f.Add([]byte{1, 1, 3, 5, 3, 5, 1, 3, 5, 3, 5, 1, 0, 16, 0, 16, 0, 3, 5, 3, 5})
 	// 1-D: same Lo with different widths, queried before and after adds.
 	f.Add([]byte{0, 1, 4, 2, 1, 4, 9, 0, 5, 1, 1, 0, 3, 0, 0, 0, 8, 16})
+	// 1-D, ten staggered overlapping boxes, so queries past the small-set
+	// scan bisect; two more adds then force a rebuild before the last.
+	f.Add([]byte{0, 1, 0, 5, 1, 3, 5, 1, 6, 5, 1, 9, 5, 1, 12, 5, 1, 15, 5,
+		1, 18, 5, 1, 21, 5, 1, 24, 5, 1, 27, 5, 0, 10, 6, 1, 2, 16, 1, 30, 2, 0, 0, 3})
 	// 3-D mixed layout with an empty box and interleaved queries.
 	f.Add([]byte{2, 1, 0, 4, 0, 4, 0, 4, 1, 4, 4, 0, 4, 4, 0, 0, 2, 4, 2, 4, 2, 4,
 		1, 2, 0, 2, 4, 2, 4, 0, 0, 8, 0, 8, 0, 8})
@@ -73,7 +77,7 @@ func FuzzBoxIndex(f *testing.F) {
 				checkIndexQuery(t, &x, boxes, bx)
 				continue
 			}
-			x.Add(bx)
+			x.Add(NewSyntheticBlock(bx))
 			boxes = append(boxes, bx)
 		}
 		whole := make([]uint64, nd)
@@ -103,7 +107,7 @@ func TestBoxIndexMatchesBruteForce(t *testing.T) {
 				checkIndexQuery(t, &x, boxes, Box{Lo: lo, Hi: hi})
 				continue
 			}
-			x.Add(Box{Lo: lo, Hi: hi})
+			x.Add(NewSyntheticBlock(Box{Lo: lo, Hi: hi}))
 			boxes = append(boxes, Box{Lo: lo, Hi: hi})
 		}
 	}

@@ -49,6 +49,11 @@ func TestBoxIntersect(t *testing.T) {
 	if _, ok := a.Intersect(c); ok {
 		t.Fatal("adjacent boxes must not intersect")
 	}
+	// Staging tests every region against every put and get, most of them
+	// disjoint: a miss must not allocate.
+	if n := testing.AllocsPerRun(10, func() { a.Intersect(c) }); n != 0 {
+		t.Fatalf("Intersect of disjoint boxes allocated %v times", n)
+	}
 }
 
 func TestCheck32BitDims(t *testing.T) {

@@ -6,16 +6,18 @@ import (
 	"github.com/imcstudy/imcstudy/internal/ndarray"
 )
 
-// FuzzBlockSetQuery feeds the spatial index arbitrary 2-D block layouts
-// — single-dimension tilings that take the bisection path as well as
-// mixed layouts that force the linear fallback — and checks every query
-// against a brute-force scan of the inserted boxes. The encoding is 4
-// bytes per box (lo/width per dimension); the final 4 bytes are the
-// query box.
+// FuzzBlockSetQuery feeds a version's block set arbitrary 2-D block
+// layouts — single-dimension tilings and layouts that differ in both
+// dimensions — and checks every query against a linear scan of the
+// inserted blocks: the same sub-blocks, in insertion order. The
+// encoding is 4 bytes per box (lo/width per dimension); the final 4
+// bytes are the query box.
 func FuzzBlockSetQuery(f *testing.F) {
 	// Row-slab tiling plus a query spanning two slabs.
 	f.Add([]byte{0, 4, 0, 8, 4, 4, 0, 8, 8, 4, 0, 8, 2, 8, 1, 6})
-	// Mixed layout (differs in both dimensions): linear-scan path.
+	// The same tiling inserted out of order.
+	f.Add([]byte{8, 4, 0, 8, 0, 4, 0, 8, 4, 4, 0, 8, 2, 8, 1, 6})
+	// Layout differing in both dimensions.
 	f.Add([]byte{0, 4, 0, 4, 4, 4, 4, 4, 0, 4, 4, 4, 1, 6, 1, 6})
 	// Duplicate and overlapping boxes.
 	f.Add([]byte{3, 5, 3, 5, 3, 5, 3, 5, 0, 16, 0, 16})
@@ -32,15 +34,12 @@ func FuzzBlockSetQuery(f *testing.F) {
 			}
 			return bx
 		}
-		bs := newBlockSet()
+		bs := &blockSet{}
 		var boxes []ndarray.Box
-		n := len(data)/4 - 1
-		if n > 64 {
-			n = 64
-		}
+		n := min(len(data)/4-1, 64)
 		for i := 0; i < n; i++ {
 			bx := mk(data[i*4:])
-			bs.add(ndarray.NewSyntheticBlock(bx))
+			bs.index.Add(ndarray.NewSyntheticBlock(bx))
 			boxes = append(boxes, bx)
 		}
 		query := mk(data[len(data)-4:])
@@ -48,26 +47,21 @@ func FuzzBlockSetQuery(f *testing.F) {
 		if err != nil {
 			t.Fatalf("query(%v): %v", query, err)
 		}
-		var covered uint64
-		for _, blk := range got {
-			// Every returned sub-block must lie inside the query box.
-			for d := range blk.Box.Lo {
-				if blk.Box.Lo[d] < query.Lo[d] || blk.Box.Hi[d] > query.Hi[d] {
-					t.Fatalf("returned block %v escapes query %v", blk.Box, query)
-				}
-			}
-			covered += blk.Box.NumElems()
-		}
-		// Brute force: sum of per-box overlaps (duplicates count in both).
-		var want uint64
+		var want []ndarray.Box
 		for _, bx := range boxes {
 			if ov, ok := bx.Intersect(query); ok {
-				want += ov.NumElems()
+				want = append(want, ov)
 			}
 		}
-		if covered != want {
-			t.Fatalf("query covered %d elems, brute force %d (query %v over %d boxes)",
-				covered, want, query, len(boxes))
+		if len(got) != len(want) {
+			t.Fatalf("query %v over %v returned %d sub-blocks, linear scan %d",
+				query, boxes, len(got), len(want))
+		}
+		for i, blk := range got {
+			if !blk.Box.Equal(want[i]) {
+				t.Fatalf("query %v over %v: sub-block %d is %v, linear scan %v",
+					query, boxes, i, blk.Box, want[i])
+			}
 		}
 	})
 }

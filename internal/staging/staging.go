@@ -10,6 +10,7 @@ package staging
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,7 +45,6 @@ type Store struct {
 	overheadFactor float64
 
 	blocks map[Key]*blockSet
-	bytes  map[Key]int64
 	vers   map[string][]int // sorted versions per variable
 
 	// Cached telemetry instruments, resolved once per registry so the
@@ -60,133 +60,22 @@ type storeCounters struct {
 	bytes   *metrics.Counter
 }
 
-// blockSet holds one version's blocks with a cheap spatial index: when
-// sibling blocks tile along a single discriminating dimension (the common
-// case — writers decompose one dimension), they are kept sorted by that
-// dimension's lower bound so queries bisect instead of scanning. Mixed
-// layouts (e.g. a server owning two staging regions, whose blocks differ
-// along both the writer dimension and the region dimension) keep the
-// blocks in insertion order and look them up through an
-// ndarray.BoxIndex, which returns the same subset in the same order as a
-// linear scan.
+// blockSet holds one version's blocks, indexed for overlap queries,
+// and the bytes they charge against the node.
 type blockSet struct {
-	blocks []ndarray.Block
-	// dim is the discriminating dimension; -1 means mixed layout,
-	// -2 means not yet determined (0 or 1 blocks stored).
-	dim int
-	// sorted records whether blocks are ordered by Lo[dim]; adds are
-	// O(1) appends and the sort happens lazily at the first query.
-	sorted bool
-	// maxW is the widest extent along dim (recomputed with the lazy
-	// sort): a block can reach into a query only if it starts within
-	// maxW below the query's lower bound, which bounds the bisection
-	// without assuming the blocks tile — overlapping same-Lo blocks
-	// with different extents are still found.
-	maxW uint64
-	// mixed indexes blocks by position once the layout is mixed.
-	mixed *ndarray.BoxIndex
+	index ndarray.BoxIndex
+	bytes int64
 }
 
-func newBlockSet() *blockSet { return &blockSet{dim: -2} }
-
-// add appends a block, tracking whether the set still tiles a single
-// discriminating dimension.
-func (bs *blockSet) add(blk ndarray.Block) {
-	switch {
-	case bs.dim == -2 && len(bs.blocks) == 0:
-		bs.blocks = append(bs.blocks, blk)
-		return
-	case bs.dim == -2:
-		// Determine the discriminating dimension from the first pair.
-		first := bs.blocks[0].Box
-		diff := -1
-		for i := range first.Lo {
-			if first.Lo[i] != blk.Box.Lo[i] || first.Hi[i] != blk.Box.Hi[i] {
-				if diff >= 0 {
-					diff = -1
-					break
-				}
-				diff = i
-			}
-		}
-		bs.dim = diff
-	case bs.dim >= 0:
-		// Verify the new block still fits the single-dimension layout.
-		first := bs.blocks[0].Box
-		for i := range first.Lo {
-			if i == bs.dim {
-				continue
-			}
-			if first.Lo[i] != blk.Box.Lo[i] || first.Hi[i] != blk.Box.Hi[i] {
-				bs.dim = -1
-				break
-			}
-		}
-	}
-	bs.blocks = append(bs.blocks, blk)
-	bs.sorted = false
-	if bs.dim != -1 {
-		return
-	}
-	if bs.mixed == nil {
-		// The layout just turned mixed: index the blocks in their
-		// current order, which the index then preserves.
-		bs.mixed = &ndarray.BoxIndex{}
-		for _, b := range bs.blocks {
-			bs.mixed.Add(b.Box)
-		}
-		return
-	}
-	bs.mixed.Add(blk.Box)
-}
-
-// query returns the sub-blocks of bs intersecting box.
+// query returns the sub-blocks of bs intersecting box, in insertion
+// order.
 func (bs *blockSet) query(box ndarray.Box) ([]ndarray.Block, error) {
-	if bs.dim == -1 {
-		var out []ndarray.Block
-		for _, i := range bs.mixed.Overlapping(box, nil) {
-			var err error
-			if out, err = appendSub(out, bs.blocks[i], box); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	lo, hi := 0, len(bs.blocks)
-	if bs.dim >= 0 {
-		d := bs.dim
-		if !bs.sorted {
-			sort.SliceStable(bs.blocks, func(a, b int) bool {
-				return bs.blocks[a].Box.Lo[d] < bs.blocks[b].Box.Lo[d]
-			})
-			bs.maxW = 0
-			for _, blk := range bs.blocks {
-				if w := blk.Box.Hi[d] - blk.Box.Lo[d]; w > bs.maxW {
-					bs.maxW = w
-				}
-			}
-			bs.sorted = true
-		}
-		// Blocks starting before box.Lo[d] can still reach into it, but
-		// only from within maxW below it.
-		minLo := uint64(0)
-		if box.Lo[d] > bs.maxW {
-			minLo = box.Lo[d] - bs.maxW
-		}
-		lo = sort.Search(len(bs.blocks), func(k int) bool {
-			return bs.blocks[k].Box.Lo[d] >= minLo
-		})
-		hi = sort.Search(len(bs.blocks), func(k int) bool {
-			return bs.blocks[k].Box.Lo[d] >= box.Hi[d]
-		})
-	}
 	var out []ndarray.Block
-	for _, blk := range bs.blocks[lo:hi] {
-		if !blk.Box.Overlaps(box) {
-			continue
-		}
+	var hits [16]int32 // room for the usual hits without a heap allocation
+	blocks := bs.index.Blocks()
+	for _, i := range bs.index.Overlapping(box, hits[:0]) {
 		var err error
-		if out, err = appendSub(out, blk, box); err != nil {
+		if out, err = appendSub(out, blocks[i], box); err != nil {
 			return nil, err
 		}
 	}
@@ -215,7 +104,6 @@ func NewStore(m *hpc.Machine, node *hpc.Node, component, kind string, maxVersion
 		maxVersions:    maxVersions,
 		overheadFactor: overheadFactor,
 		blocks:         make(map[Key]*blockSet),
-		bytes:          make(map[Key]int64),
 		vers:           make(map[string][]int),
 	}
 }
@@ -261,11 +149,11 @@ func (s *Store) Put(key Key, blk ndarray.Block) error {
 			vs[i] = key.Version
 			s.vers[key.Var] = vs
 		}
-		set = newBlockSet()
+		set = &blockSet{}
 		s.blocks[key] = set
 	}
-	set.add(blk)
-	s.bytes[key] += cost
+	set.index.Add(blk)
+	set.bytes += cost
 	s.count("put", 1, cost)
 	return nil
 }
@@ -327,9 +215,10 @@ func (s *Store) countFault(kind string) {
 	}
 }
 
-// Query returns the stored blocks of key that intersect box. Injected
-// op-fault windows on the store's node fail the query transiently with
-// hpc.ErrTransientOp before any lookup happens.
+// Query returns the parts of key's stored blocks that intersect box, in
+// the order the blocks were put. Injected op-fault windows on the
+// store's node fail the query transiently with hpc.ErrTransientOp
+// before any lookup happens.
 func (s *Store) Query(key Key, box ndarray.Box) ([]ndarray.Block, error) {
 	if s.node.DrawOpFault(s.m.E.Now()) {
 		s.countFault("op_faults")
@@ -350,7 +239,12 @@ func (s *Store) Query(key Key, box ndarray.Box) ([]ndarray.Block, error) {
 }
 
 // BytesStored returns the charged bytes for key.
-func (s *Store) BytesStored(key Key) int64 { return s.bytes[key] }
+func (s *Store) BytesStored(key Key) int64 {
+	if set, ok := s.blocks[key]; ok {
+		return set.bytes
+	}
+	return 0
+}
 
 // Keys returns every stored key, sorted by variable then version, so
 // recovery walks a store in deterministic order.
@@ -359,34 +253,26 @@ func (s *Store) Keys() []Key {
 	for key := range s.blocks {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].Var != keys[b].Var {
-			return keys[a].Var < keys[b].Var
-		}
-		return keys[a].Version < keys[b].Version
-	})
+	sortKeys(keys)
 	return keys
 }
 
-// Blocks returns a copy of the block list stored under key (nil when
-// the key is absent). Re-replication reads a survivor's blocks through
-// this to rebuild lost copies.
+// Blocks returns a copy of the block list stored under key, in
+// insertion order (nil when the key is absent). Re-replication reads a
+// survivor's blocks through this to rebuild lost copies.
 func (s *Store) Blocks(key Key) []ndarray.Block {
 	set, ok := s.blocks[key]
 	if !ok {
 		return nil
 	}
-	out := make([]ndarray.Block, len(set.blocks))
-	copy(out, set.blocks)
-	return out
+	return slices.Clone(set.index.Blocks())
 }
 
 // DropVersion frees all blocks of key and returns the memory.
 func (s *Store) DropVersion(key Key) {
-	if cost, ok := s.bytes[key]; ok {
-		s.count("drop", int64(len(s.blocks[key].blocks)), cost)
-		s.m.Free(s.node, s.component, s.kind, cost)
-		delete(s.bytes, key)
+	if set, ok := s.blocks[key]; ok {
+		s.count("drop", int64(len(set.index.Blocks())), set.bytes)
+		s.m.Free(s.node, s.component, s.kind, set.bytes)
 		delete(s.blocks, key)
 	}
 	vs := s.vers[key.Var]
@@ -402,12 +288,7 @@ func (s *Store) DropVersion(key Key) {
 // order so the memory releases (which can unblock waiters) are
 // deterministic.
 func (s *Store) Close() {
-	keys := make([]Key, 0, len(s.bytes))
-	for key := range s.bytes {
-		keys = append(keys, key)
-	}
-	sortKeys(keys)
-	for _, key := range keys {
+	for _, key := range s.Keys() {
 		s.DropVersion(key)
 	}
 }

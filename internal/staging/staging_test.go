@@ -22,7 +22,7 @@ func newMachine(t *testing.T) (*sim.Engine, *hpc.Machine) {
 	return e, m
 }
 
-func box(t *testing.T, lo, hi []uint64) ndarray.Box {
+func box(t testing.TB, lo, hi []uint64) ndarray.Box {
 	t.Helper()
 	b, err := ndarray.NewBox(lo, hi)
 	if err != nil {
@@ -159,54 +159,59 @@ func TestStoreCloseFreesAll(t *testing.T) {
 	}
 }
 
-func TestBlockSetFallsBackOnMixedLayout(t *testing.T) {
-	// Blocks differing in more than one dimension force a linear scan;
-	// queries must still be exact.
-	_, m := newMachine(t)
-	s := NewStore(m, m.Nodes[0], "srv", "staging", 0, 0)
-	key := Key{Var: "T", Version: 1}
-	boxes := []ndarray.Box{
-		box(t, []uint64{0, 0}, []uint64{4, 4}),
-		box(t, []uint64{4, 4}, []uint64{8, 8}),
-		box(t, []uint64{0, 4}, []uint64{4, 8}),
-		box(t, []uint64{4, 0}, []uint64{8, 4}),
+// TestStoreQueryExact checks that a query returns exactly the parts of
+// the overlapping blocks, in insertion order, whatever the layout.
+func TestStoreQueryExact(t *testing.T) {
+	cases := []struct {
+		name  string
+		boxes [][2][]uint64 // lo, hi per stored block, in insertion order
+		query [2][]uint64
+		want  [][2][]uint64 // lo, hi per returned sub-block
+	}{
+		{
+			// Quadrants: the blocks differ in both dimensions.
+			name: "two-dimension-quadrants",
+			boxes: [][2][]uint64{
+				{{0, 0}, {4, 4}}, {{4, 4}, {8, 8}}, {{0, 4}, {4, 8}}, {{4, 0}, {8, 4}},
+			},
+			query: [2][]uint64{{2, 2}, {6, 6}},
+			want: [][2][]uint64{
+				{{2, 2}, {4, 4}}, {{4, 4}, {6, 6}}, {{2, 4}, {4, 6}}, {{4, 2}, {6, 4}},
+			},
+		},
+		{
+			// Slabs of one dimension, inserted out of order.
+			name: "one-dimension-out-of-order",
+			boxes: [][2][]uint64{
+				{{40}, {60}}, {{0}, {20}}, {{80}, {100}}, {{20}, {40}}, {{60}, {80}},
+			},
+			query: [2][]uint64{{30}, {70}},
+			want:  [][2][]uint64{{{40}, {60}}, {{30}, {40}}, {{60}, {70}}},
+		},
 	}
-	for _, b := range boxes {
-		if err := s.Put(key, ndarray.NewSyntheticBlock(b)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := s.Query(key, box(t, []uint64{2, 2}, []uint64{6, 6}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var elems uint64
-	for _, blk := range got {
-		elems += blk.Box.NumElems()
-	}
-	if elems != 16 {
-		t.Fatalf("query covered %d elems, want 16", elems)
-	}
-}
-
-func TestBlockSetSortedQueryExact(t *testing.T) {
-	// Many blocks tiling one dimension: bisection must return exactly the
-	// overlapping ones.
-	_, m := newMachine(t)
-	s := NewStore(m, m.Nodes[0], "srv", "staging", 0, 0)
-	key := Key{Var: "T", Version: 1}
-	// Insert out of order to exercise sorted insertion.
-	for _, lo := range []uint64{40, 0, 80, 20, 60} {
-		if err := s.Put(key, ndarray.NewSyntheticBlock(box(t, []uint64{lo}, []uint64{lo + 20}))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := s.Query(key, box(t, []uint64{30}, []uint64{70}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 { // [20,40) [40,60) [60,80) overlap [30,70)
-		t.Fatalf("query returned %d blocks, want 3", len(got))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, m := newMachine(t)
+			s := NewStore(m, m.Nodes[0], "srv", "staging", 0, 0)
+			key := Key{Var: "T", Version: 1}
+			for _, b := range tc.boxes {
+				if err := s.Put(key, ndarray.NewSyntheticBlock(box(t, b[0], b[1]))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := s.Query(key, box(t, tc.query[0], tc.query[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("query returned %d blocks, want %d", len(got), len(tc.want))
+			}
+			for i, w := range tc.want {
+				if want := box(t, w[0], w[1]); !got[i].Box.Equal(want) {
+					t.Fatalf("block %d = %v, want %v", i, got[i].Box, want)
+				}
+			}
+		})
 	}
 }
 

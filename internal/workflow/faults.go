@@ -261,7 +261,7 @@ func applyFaultPlan(cfg Config, e *sim.Engine, m *hpc.Machine, lay *layout, det 
 		return nil
 	}
 	reg := m.Metrics
-	for _, cr := range plan.expandCrashes(len(lay.serverNodes)) {
+	for _, cr := range plan.expandCrashes(len(lay.stagingNodes)) {
 		node, err := faultNode(lay, cr.Role, cr.Index)
 		if err != nil {
 			return err

@@ -156,6 +156,30 @@ func TestStagingCrashAtComposesWithPlan(t *testing.T) {
 	}
 }
 
+// TestRandomCrashesFireOnEveryStagingPool: seed-expanded crashes draw
+// from the staging pool, wherever the method stages: on its servers
+// (DataSpaces) or on the writers' nodes (Flexpath).
+func TestRandomCrashesFireOnEveryStagingPool(t *testing.T) {
+	for _, method := range []Method{MethodDataSpacesNative, MethodFlexpath} {
+		res, err := Run(Config{
+			Machine:  hpc.Titan(),
+			Method:   method,
+			Workload: WorkloadLAMMPS,
+			SimProcs: 32,
+			AnaProcs: 16,
+			Steps:    3,
+			Faults:   &FaultPlan{Seed: 1, RandomCrashes: 1, RandomCrashHorizon: 1},
+			Metrics:  true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := res.Metrics.Counter("faults/crashes").Value(); v != 1 {
+			t.Errorf("%v: faults/crashes = %v, want 1", method, v)
+		}
+	}
+}
+
 // TestLinkDegradationSlowsTheRun: throttling a staging node's NIC for a
 // window must stretch the end-to-end time without failing anything.
 func TestLinkDegradationSlowsTheRun(t *testing.T) {
