@@ -4,15 +4,15 @@ PROF_OUT ?= imcprof-smoke.json
 CHAOS_OUT ?= chaos-smoke.json
 LINT_OUT ?= imclint-report.json
 
-.PHONY: check fmt build vet lint lint-vet test race hostbench-test bench results microbench fuzz prof-smoke chaos-smoke tidy
+.PHONY: check fmt build vet lint lint-vet test race hostbench-test solver-bench bench results microbench fuzz prof-smoke chaos-smoke tidy
 
 # check is the CI gate: check formatting, compile everything, vet, lint
 # the determinism invariants (in both driver modes), run the full test
 # suite under the race detector, vet and test the nested hostbench
-# module, give the fuzzers a short shake, prove the self-profiling
-# pipeline end to end, and run the tiny chaos campaign (report written,
-# re-read and parsed).
-check: fmt build vet lint lint-vet race hostbench-test fuzz prof-smoke chaos-smoke
+# module, run the solver benchmarks once, give the fuzzers a short
+# shake, prove the self-profiling pipeline end to end, and run the tiny
+# chaos campaign (report written, re-read and parsed).
+check: fmt build vet lint lint-vet race hostbench-test solver-bench fuzz prof-smoke chaos-smoke
 
 # fmt fails, listing the files, when any Go file in the tree (the
 # nested hostbench module and lint fixtures included) is not gofmt-clean.
@@ -74,6 +74,14 @@ prof-smoke:
 # a workflow artifact.
 chaos-smoke:
 	$(GO) run ./cmd/imcbench chaos -smoke -out $(CHAOS_OUT)
+
+# solver-bench runs the fair-share solver's benchmarks (one fill and
+# one flush of the ds-matched-shaped network, the 1k-10k sender fan-in)
+# for one iteration each. They reach into the solver's internals, and
+# nothing else in check runs benchmarks, so this keeps them compiling
+# and running; the timings it prints are not a record.
+solver-bench:
+	$(GO) test -run '^$$' -bench 'Fill|Flush|FanIn' -benchtime 1x ./internal/sim
 
 # bench is the scale digest gate: it runs the 1k/4k/10k-rank matrix
 # with fixed configurations and the profiler off, and fails if any

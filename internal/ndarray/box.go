@@ -124,13 +124,14 @@ func (b Box) Intersect(o Box) (Box, bool) {
 }
 
 // Overlaps reports whether the boxes share any element, without
-// allocating (the hot-path filter behind staging queries).
+// allocating (the hot-path filter behind staging queries). It agrees
+// with Intersect: an empty box overlaps nothing.
 func (b Box) Overlaps(o Box) bool {
 	if len(b.Lo) != len(o.Lo) {
 		return false
 	}
 	for i := range b.Lo {
-		if b.Lo[i] >= o.Hi[i] || o.Lo[i] >= b.Hi[i] {
+		if max(b.Lo[i], o.Lo[i]) >= min(b.Hi[i], o.Hi[i]) {
 			return false
 		}
 	}

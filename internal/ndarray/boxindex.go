@@ -17,12 +17,16 @@ import (
 // Lo[d] and the widest extent along d. A block can reach into a query
 // only if its Lo[d] lies in [query.Lo[d]-maxW, query.Hi[d]), so a query
 // bisects that window in every dimension and tests only the blocks of
-// the narrowest one. The ordering is rebuilt lazily at the first query
-// after an Add. All blocks of one index must share a rank.
+// the narrowest one. A dimension in which every block has the same Lo
+// (the full width of a set of slabs) cannot narrow the window: it has no
+// ordering, and a query only checks that the shared Lo lies in its
+// window. The orderings are rebuilt lazily at the first query after an
+// Add. All blocks of one index must share a rank.
 type BoxIndex struct {
 	blocks []Block
 	byDim  [][]int32
 	maxW   []uint64
+	oneLo  []bool
 	stale  bool
 	// tested counts blocks tested for overlap over all queries.
 	tested int64
@@ -68,6 +72,13 @@ func (x *BoxIndex) Overlapping(box Box, dst []int32) []int32 {
 		if box.Lo[d] > x.maxW[d] {
 			minLo = box.Lo[d] - x.maxW[d]
 		}
+		if x.oneLo[d] {
+			// All blocks lie in the window or none does.
+			if lo := x.blocks[0].Box.Lo[d]; lo < minLo || lo >= box.Hi[d] {
+				return dst
+			}
+			continue
+		}
 		lo := sort.Search(len(idx), func(k int) bool { return x.blocks[idx[k]].Box.Lo[d] >= minLo })
 		hi := sort.Search(len(idx), func(k int) bool { return x.blocks[idx[k]].Box.Lo[d] >= box.Hi[d] })
 		if bestD < 0 || hi-lo < bestHi-bestLo {
@@ -99,22 +110,30 @@ func (x *BoxIndex) scan(box Box, dst []int32) []int32 {
 	return dst
 }
 
-// rebuild re-sorts every dimension's permutation and recomputes its
-// widest extent.
+// rebuild recomputes every dimension's widest extent and whether its
+// Lo is shared, and re-sorts the permutation of each other dimension.
 func (x *BoxIndex) rebuild() {
 	x.stale = false
 	nd := len(x.blocks[0].Box.Lo)
 	if cap(x.byDim) < nd {
 		x.byDim = make([][]int32, nd)
 		x.maxW = make([]uint64, nd)
+		x.oneLo = make([]bool, nd)
 	}
-	x.byDim, x.maxW = x.byDim[:nd], x.maxW[:nd]
+	x.byDim, x.maxW, x.oneLo = x.byDim[:nd], x.maxW[:nd], x.oneLo[:nd]
 	for d := 0; d < nd; d++ {
-		idx := slices.Grow(x.byDim[d][:0], len(x.blocks))
-		x.maxW[d] = 0
-		for i, blk := range x.blocks {
-			idx = append(idx, int32(i))
+		lo0 := x.blocks[0].Box.Lo[d]
+		x.maxW[d], x.oneLo[d] = 0, true
+		for _, blk := range x.blocks {
 			x.maxW[d] = max(x.maxW[d], blk.Box.Hi[d]-blk.Box.Lo[d])
+			x.oneLo[d] = x.oneLo[d] && blk.Box.Lo[d] == lo0
+		}
+		if x.oneLo[d] {
+			continue
+		}
+		idx := slices.Grow(x.byDim[d][:0], len(x.blocks))
+		for i := range x.blocks {
+			idx = append(idx, int32(i))
 		}
 		slices.SortFunc(idx, func(a, b int32) int {
 			return cmp.Compare(x.blocks[a].Box.Lo[d], x.blocks[b].Box.Lo[d])

@@ -48,6 +48,11 @@ func FuzzBoxIndex(f *testing.F) {
 	// scan bisect; two more adds then force a rebuild before the last.
 	f.Add([]byte{0, 1, 0, 5, 1, 3, 5, 1, 6, 5, 1, 9, 5, 1, 12, 5, 1, 15, 5,
 		1, 18, 5, 1, 21, 5, 1, 24, 5, 1, 27, 5, 0, 10, 6, 1, 2, 16, 1, 30, 2, 0, 0, 3})
+	// 2-D slabs sharing Lo in dimension 1, so that dimension has no
+	// ordering: queries inside, across and beyond the shared Lo's window.
+	f.Add([]byte{1, 1, 0, 3, 0, 16, 1, 3, 3, 0, 16, 1, 6, 3, 0, 16, 1, 9, 3, 0, 16,
+		1, 12, 3, 0, 16, 1, 15, 3, 0, 16, 1, 18, 3, 0, 16, 1, 21, 3, 0, 16,
+		1, 24, 3, 0, 16, 1, 27, 3, 0, 16, 0, 5, 7, 2, 3, 0, 0, 31, 20, 5, 0, 4, 6, 16, 2, 0, 5, 7, 0, 1})
 	// 3-D mixed layout with an empty box and interleaved queries.
 	f.Add([]byte{2, 1, 0, 4, 0, 4, 0, 4, 1, 4, 4, 0, 4, 4, 0, 0, 2, 4, 2, 4, 2, 4,
 		1, 2, 0, 2, 4, 2, 4, 0, 0, 8, 0, 8, 0, 8})

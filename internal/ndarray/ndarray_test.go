@@ -260,7 +260,9 @@ func TestSplitAssembleProperty(t *testing.T) {
 	}
 }
 
-// Property: Overlaps agrees with Intersect on arbitrary box pairs.
+// Property: Overlaps agrees with Intersect on arbitrary box pairs,
+// empty boxes (an extent of 0 in some dimension) included. Corners lie in
+// [0, 20) so most pairs are near each other.
 func TestOverlapsMatchesIntersect(t *testing.T) {
 	f := func(aLo, aExt, bLo, bExt [3]uint8) bool {
 		lo1 := make([]uint64, 3)
@@ -268,10 +270,10 @@ func TestOverlapsMatchesIntersect(t *testing.T) {
 		lo2 := make([]uint64, 3)
 		hi2 := make([]uint64, 3)
 		for i := 0; i < 3; i++ {
-			lo1[i] = uint64(aLo[i])
-			hi1[i] = lo1[i] + uint64(aExt[i]%16) + 1
-			lo2[i] = uint64(bLo[i])
-			hi2[i] = lo2[i] + uint64(bExt[i]%16) + 1
+			lo1[i] = uint64(aLo[i] % 20)
+			hi1[i] = lo1[i] + uint64(aExt[i]%17)
+			lo2[i] = uint64(bLo[i] % 20)
+			hi2[i] = lo2[i] + uint64(bExt[i]%17)
 		}
 		a, err1 := NewBox(lo1, hi1)
 		b, err2 := NewBox(lo2, hi2)

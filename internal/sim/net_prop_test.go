@@ -97,15 +97,10 @@ func (sc flowScript) play(t *testing.T, full bool) playback {
 	var log []string
 	observed := make([][]metrics.Sample, sc.nLinks)
 	n.SetRateObserver(func(tm Time) {
-		// Completions fire in n.flows order, so it must stay in seq
-		// order.
-		for i := 1; i < len(n.flows); i++ {
-			if n.flows[i-1].seq >= n.flows[i].seq {
-				t.Fatalf("t=%v: n.flows out of seq order at %d: %d then %d",
-					tm, i, n.flows[i-1].seq, n.flows[i].seq)
-			}
-		}
 		if err := checkLinkLists(n); err != nil {
+			t.Fatalf("t=%v (full=%v): %v", tm, full, err)
+		}
+		if err := checkPaths(n); err != nil {
 			t.Fatalf("t=%v (full=%v): %v", tm, full, err)
 		}
 		if err := checkAllocation(n); err != nil {
@@ -118,6 +113,10 @@ func (sc flowScript) play(t *testing.T, full bool) playback {
 		}
 		log = append(log, line)
 	})
+	// Completions at one instant must fire in seq order, the order the
+	// flow-by-flow solver fired them in.
+	lastDone, lastSeq := Time(-1), int64(-1)
+	var orderErr error
 	for i, f := range sc.flows {
 		i, f := i, f
 		e.At(f.at, func() {
@@ -125,11 +124,16 @@ func (sc flowScript) play(t *testing.T, full bool) playback {
 			for j, li := range f.links {
 				ls[j] = links[li]
 			}
+			seq := n.flowSeq
 			ev := n.StartFlowCapped(f.bytes, f.rateCap, ls...)
 			e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) error {
 				if _, err := p.Wait(ev); err != nil {
 					return err
 				}
+				if p.Now() == lastDone && seq < lastSeq && orderErr == nil {
+					orderErr = fmt.Errorf("t=%v (full=%v): flow seq %d completed after seq %d", p.Now(), full, seq, lastSeq)
+				}
+				lastDone, lastSeq = p.Now(), seq
 				log = append(log, fmt.Sprintf("done %d %x", i, math.Float64bits(p.Now())))
 				return nil
 			})
@@ -143,6 +147,9 @@ func (sc flowScript) play(t *testing.T, full bool) playback {
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("run (full=%v): %v", full, err)
+	}
+	if orderErr != nil {
+		t.Fatal(orderErr)
 	}
 	pb := playback{log: log, observed: observed}
 	for _, l := range links {
@@ -158,7 +165,7 @@ func (sc flowScript) play(t *testing.T, full bool) playback {
 func checkLinkLists(n *Net) error {
 	for _, l := range n.links {
 		for i, f := range l.flows {
-			if f.retired {
+			if f.path == nil {
 				return fmt.Errorf("link %s holds retired flow seq %d", l.name, f.seq)
 			}
 			if i > 0 && l.flows[i-1].seq > f.seq {
@@ -168,6 +175,76 @@ func checkLinkLists(n *Net) error {
 		}
 	}
 	return nil
+}
+
+// checkPaths asserts the invariants the path solver relies on after a
+// flush: every path in Net.paths is at its index, non-empty, and holds
+// its members in non-decreasing remaining order, the first one's in
+// head; every link lists each path crossing it once per occurrence and
+// no other, none empty, and counts its capped entries.
+func checkPaths(n *Net) error {
+	want := make(map[*Link]map[*path]int)
+	for i, p := range n.paths {
+		if int(p.idx) != i {
+			return fmt.Errorf("path %d records index %d", i, p.idx)
+		}
+		if len(p.flows) == 0 {
+			return fmt.Errorf("path %d is empty", i)
+		}
+		if math.Float64bits(p.head) != math.Float64bits(p.flows[0].remaining) {
+			return fmt.Errorf("path %d head %v, first member has %v left", i, p.head, p.flows[0].remaining)
+		}
+		for j, f := range p.flows {
+			if f.path != p {
+				return fmt.Errorf("path %d member seq %d points at another path", i, f.seq)
+			}
+			if j > 0 && p.flows[j-1].remaining > f.remaining {
+				return fmt.Errorf("path %d out of remaining order at %d: %v then %v",
+					i, j, p.flows[j-1].remaining, f.remaining)
+			}
+		}
+		for _, l := range p.links {
+			if want[l] == nil {
+				want[l] = make(map[*path]int)
+			}
+			want[l][p]++
+		}
+	}
+	for _, l := range n.links {
+		got := make(map[*path]int)
+		capped := 0
+		for _, p := range l.paths {
+			if len(p.flows) == 0 {
+				return fmt.Errorf("link %s lists an empty path", l.name)
+			}
+			got[p]++
+			if p.rateCap > 0 {
+				capped++
+			}
+		}
+		if capped != l.capped {
+			return fmt.Errorf("link %s counts %d capped paths, lists %d", l.name, l.capped, capped)
+		}
+		if len(got) != len(want[l]) {
+			return fmt.Errorf("link %s lists %d paths, %d cross it", l.name, len(got), len(want[l]))
+		}
+		for p, c := range want[l] {
+			if got[p] != c {
+				return fmt.Errorf("link %s lists a path %d times, it crosses %d times", l.name, got[p], c)
+			}
+		}
+	}
+	return nil
+}
+
+// activeFlows returns the flows of every path in seq order.
+func activeFlows(n *Net) []*netFlow {
+	var flows []*netFlow
+	for _, p := range n.paths {
+		flows = append(flows, p.flows...)
+	}
+	slices.SortFunc(flows, func(a, b *netFlow) int { return int(a.seq - b.seq) })
+	return flows
 }
 
 // allocTol is the relative tolerance of checkAllocation's comparisons.
@@ -186,25 +263,27 @@ const allocTol = 1e-9
 // share and uses only its cap, so the rest of that share stays idle. A
 // stalled flow therefore needs a zero-capacity link.
 func checkAllocation(n *Net) error {
-	atCap := func(f *netFlow) bool { return f.rateCap > 0 && f.rate >= f.rateCap*(1-allocTol) }
+	atCap := func(p *path) bool { return p.rateCap > 0 && p.rate >= p.rateCap*(1-allocTol) }
 	// Per link: the rates through it, the part of them from flows below
 	// their cap, how many flows at their cap cross it, and the top rate.
 	load := make([]float64, len(n.links))
 	free := make([]float64, len(n.links))
 	capped := make([]float64, len(n.links))
 	top := make([]float64, len(n.links))
-	for _, f := range n.flows {
-		if f.rateCap > 0 && f.rate > f.rateCap*(1+allocTol) {
-			return fmt.Errorf("flow seq %d: rate %v above its cap %v", f.seq, f.rate, f.rateCap)
+	flows := activeFlows(n)
+	for _, f := range flows {
+		p := f.path
+		if p.rateCap > 0 && p.rate > p.rateCap*(1+allocTol) {
+			return fmt.Errorf("flow seq %d: rate %v above its cap %v", f.seq, p.rate, p.rateCap)
 		}
-		for _, l := range f.links {
-			load[l.id] += f.rate
-			if atCap(f) {
+		for _, l := range p.links {
+			load[l.id] += p.rate
+			if atCap(p) {
 				capped[l.id]++
 			} else {
-				free[l.id] += f.rate
+				free[l.id] += p.rate
 			}
-			top[l.id] = max(top[l.id], f.rate)
+			top[l.id] = max(top[l.id], p.rate)
 		}
 	}
 	for _, l := range n.links {
@@ -212,21 +291,22 @@ func checkAllocation(n *Net) error {
 			return fmt.Errorf("link %s: flows sum to %v over capacity %v", l.name, load[l.id], l.rate)
 		}
 	}
-	for _, f := range n.flows {
-		if atCap(f) {
+	for _, f := range flows {
+		p := f.path
+		if atCap(p) {
 			continue
 		}
 		bottlenecked := false
-		for _, l := range f.links {
-			claimed := free[l.id] + capped[l.id]*f.rate
-			if top[l.id] <= f.rate*(1+allocTol) && claimed >= l.rate*(1-allocTol) {
+		for _, l := range p.links {
+			claimed := free[l.id] + capped[l.id]*p.rate
+			if top[l.id] <= p.rate*(1+allocTol) && claimed >= l.rate*(1-allocTol) {
 				bottlenecked = true
 				break
 			}
 		}
 		if !bottlenecked {
 			return fmt.Errorf("flow seq %d (cap %v): rate %v, yet no link it crosses is saturated with it getting the most",
-				f.seq, f.rateCap, f.rate)
+				f.seq, p.rateCap, p.rate)
 		}
 	}
 	return nil
@@ -436,22 +516,27 @@ func TestSetLinkRateZeroFlows(t *testing.T) {
 	}
 }
 
-// scanFill is progressive filling as it was written before fillRates
-// began reading each bottleneck's flows from the link's own list: for
-// every bottleneck it scans all flows, in the order given, for the
-// unfixed ones crossing that link. It is the oracle for the filling
-// itself, which ForceFullRecompute cannot check because both of its
-// modes call fillRates.
-func scanFill(n *Net, flows []*netFlow) {
-	active := n.active[:0]
+// scanFill is progressive filling flow by flow, as it was written
+// before the solver filled paths and read each bottleneck's flows from
+// the link's own list: for every bottleneck it scans all flows, in seq
+// order, for the unfixed ones crossing that link, and fixes each at its
+// own rate. It returns every flow's rate, in the order of flows, and
+// every link's aggregate rate, summed over flows in that order. It is
+// the oracle for the filling itself, which ForceFullRecompute cannot
+// check because both of its modes call fillRates.
+func scanFill(n *Net, flows []*netFlow) (rates, cur []float64) {
+	remCap := make([]float64, len(n.links))
+	count := make([]int, len(n.links))
+	fixed := make([]bool, len(flows))
+	rates = make([]float64, len(flows))
+	var active []*Link
 	for _, f := range flows {
-		f.fixed = false
-		for _, l := range f.links {
-			if n.count[l.id] == 0 {
-				n.remCap[l.id] = l.rate
+		for _, l := range f.path.links {
+			if count[l.id] == 0 {
+				remCap[l.id] = l.rate
 				active = append(active, l)
 			}
-			n.count[l.id]++
+			count[l.id]++
 		}
 	}
 	unfixed := len(flows)
@@ -459,10 +544,10 @@ func scanFill(n *Net, flows []*netFlow) {
 		best := -1
 		bestShare := math.Inf(1)
 		for _, l := range active {
-			if n.count[l.id] == 0 {
+			if count[l.id] == 0 {
 				continue
 			}
-			share := n.remCap[l.id] / float64(n.count[l.id])
+			share := remCap[l.id] / float64(count[l.id])
 			if share < bestShare || (share == bestShare && (best < 0 || l.id < best)) {
 				bestShare = share
 				best = l.id
@@ -471,52 +556,42 @@ func scanFill(n *Net, flows []*netFlow) {
 		if bestShare < 0 {
 			bestShare = 0
 		}
-		for _, f := range flows {
-			if f.fixed {
-				continue
-			}
-			onBottleneck := false
-			for _, l := range f.links {
-				if l.id == best {
-					onBottleneck = true
-					break
-				}
-			}
-			if !onBottleneck {
+		for i, f := range flows {
+			if fixed[i] || !slices.ContainsFunc(f.path.links, func(l *Link) bool { return l.id == best }) {
 				continue
 			}
 			rate := bestShare
-			if f.rateCap > 0 && f.rateCap < rate {
-				rate = f.rateCap
+			if f.path.rateCap > 0 && f.path.rateCap < rate {
+				rate = f.path.rateCap
 			}
-			f.rate = rate
-			f.fixed = true
+			rates[i] = rate
+			fixed[i] = true
 			unfixed--
-			for _, l := range f.links {
-				n.remCap[l.id] -= rate
-				if n.remCap[l.id] < 0 {
-					n.remCap[l.id] = 0
+			for _, l := range f.path.links {
+				remCap[l.id] -= rate
+				if remCap[l.id] < 0 {
+					remCap[l.id] = 0
 				}
-				n.count[l.id]--
+				count[l.id]--
 			}
 		}
 	}
-	for _, l := range active {
-		n.count[l.id] = 0
-	}
-	for _, f := range flows {
-		for _, l := range f.links {
-			l.curRate += f.rate
+	cur = make([]float64, len(n.links))
+	for i, f := range flows {
+		for _, l := range f.path.links {
+			cur[l.id] += rates[i]
 		}
 	}
-	n.active = active[:0]
+	return rates, cur
 }
 
 // randomFlowSet builds a network holding a random set of active flows,
-// never run: capped flows with different caps, flows listing one link
-// twice, and zero-capacity links. A third of the flows are retired again
-// through onCompletion and the flush's compaction, so the links' flow
-// lists are as completions leave them.
+// never run. The flows draw from a few link lists, some listing one link
+// twice, and a few cap values, so paths have several members and the
+// caps on a bottleneck bind differently; some links have zero capacity.
+// A third of the flows are tiny and are retired again through
+// onCompletion and the flush's compaction, so the links' lists are as
+// completions leave them.
 func randomFlowSet(seed int64) *Net {
 	rng := rand.New(rand.NewSource(seed))
 	n := NewEngine().NewNet()
@@ -529,25 +604,26 @@ func randomFlowSet(seed int64) *Net {
 		}
 		links[i] = n.NewLink(fmt.Sprintf("l%d", i), rate)
 	}
-	nFlows := 1 + rng.Intn(60)
-	for i := 0; i < nFlows; i++ {
-		var rateCap float64
-		if rng.Intn(2) == 0 {
-			rateCap = 1e4 + 2e6*rng.Float64()
-		}
-		var ls []*Link
+	lists := make([][]*Link, 1+rng.Intn(8))
+	for i := range lists {
 		for j := 0; j < 1+rng.Intn(3); j++ {
-			ls = append(ls, links[rng.Intn(nLinks)])
+			lists[i] = append(lists[i], links[rng.Intn(nLinks)])
 		}
 		if rng.Intn(6) == 0 {
-			ls = append(ls, ls[0])
+			lists[i] = append(lists[i], lists[i][0])
 		}
-		n.StartFlowCapped(1e6, rateCap, ls...)
 	}
-	for _, f := range n.flows {
+	caps := []float64{0, 0}
+	for i := 0; i < 1+rng.Intn(3); i++ {
+		caps = append(caps, 1e4+2e6*rng.Float64())
+	}
+	nFlows := 1 + rng.Intn(60)
+	for i := 0; i < nFlows; i++ {
+		bytes := 1e3 + 1e6*rng.Float64()
 		if rng.Intn(3) == 0 {
-			f.remaining = 0
+			bytes = completionEps / 2
 		}
+		n.StartFlowCapped(bytes, caps[rng.Intn(len(caps))], lists[rng.Intn(len(lists))]...)
 	}
 	n.onCompletion()
 	n.compactDirtyLinks()
@@ -555,40 +631,49 @@ func randomFlowSet(seed int64) *Net {
 }
 
 // TestFillMatchesScanOracle fills random flow sets with fillRates, given
-// the flows in a seeded shuffle, and with the scan-every-flow oracle,
-// given them in seq order, and asserts every flow's rate and every
-// link's aggregate rate agree bit for bit: fillRates does not depend on
-// the order of its input, which is what lets the incremental path hand
-// it a component's flows in walk order.
+// the paths in a seeded shuffle, and with the flow-by-flow scan oracle,
+// and asserts every flow's rate and every link's aggregate rate agree
+// bit for bit: fillRates does not depend on the order of its input,
+// which is what lets the incremental path hand it a component's paths in
+// walk order. Across the seeds, some bottleneck must have been fixed
+// flow by flow and some path must hold several flows.
 func TestFillMatchesScanOracle(t *testing.T) {
+	perFlow, shared := 0, 0
 	for seed := int64(1); seed <= 3000; seed++ {
 		n := randomFlowSet(seed)
-		shuffled := slices.Clone(n.flows)
+		if err := checkPaths(n); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		shuffled := slices.Clone(n.paths)
 		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		n.fillRates(shuffled)
-		rates := make([]uint64, len(n.flows))
-		for i, f := range n.flows {
-			rates[i] = math.Float64bits(f.rate)
+		if n.perFlowFixes > 0 {
+			perFlow++
 		}
-		cur := make([]uint64, len(n.links))
-		for i, l := range n.links {
-			cur[i] = math.Float64bits(l.curRate)
-			l.curRate = 0
-		}
-		scanFill(n, n.flows)
-		for i, f := range n.flows {
-			if got := math.Float64bits(f.rate); got != rates[i] {
+		flows := activeFlows(n)
+		rates, cur := scanFill(n, flows)
+		for i, f := range flows {
+			if math.Float64bits(f.path.rate) != math.Float64bits(rates[i]) {
 				t.Fatalf("seed %d flow seq %d: fillRates rate %v, oracle %v",
-					seed, f.seq, math.Float64frombits(rates[i]), f.rate)
+					seed, f.seq, f.path.rate, rates[i])
 			}
 		}
 		for i, l := range n.links {
-			if got := math.Float64bits(l.curRate); got != cur[i] {
-				t.Fatalf("seed %d link %s: fillRates curRate %v, oracle %v",
-					seed, l.name, math.Float64frombits(cur[i]), l.curRate)
+			if got := l.CurrentRate(); math.Float64bits(got) != math.Float64bits(cur[i]) {
+				t.Fatalf("seed %d link %s: fillRates rate %v, oracle %v", seed, l.name, got, cur[i])
 			}
 		}
+		for _, p := range n.paths {
+			if len(p.flows) > 1 {
+				shared++
+				break
+			}
+		}
+	}
+	if perFlow == 0 || shared == 0 {
+		t.Fatalf("%d seeds fixed a bottleneck flow by flow and %d had a path of several flows; want both > 0",
+			perFlow, shared)
 	}
 }

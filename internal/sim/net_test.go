@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +50,38 @@ func TestFairSharingTwoFlows(t *testing.T) {
 		if !almostEq(end, 10, 1e-6) {
 			t.Fatalf("flow %d end = %v, want 10", i, end)
 		}
+	}
+}
+
+// TestSimultaneousCompletionsFireInSeqOrder finishes flows of two paths
+// at one instant, the older path holding the first and last flow, and
+// checks their events fire in arrival order, not path by path.
+func TestSimultaneousCompletionsFireInSeqOrder(t *testing.T) {
+	e := NewEngine()
+	n := e.NewNet()
+	a := n.NewLink("a", 100)
+	b := n.NewLink("b", 100)
+	// The two flows on b share it at 50 B/s; the one on a runs at 100.
+	evs := []*Event{n.StartFlow(250, b), n.StartFlow(500, a), n.StartFlow(250, b)}
+	var order []int
+	for i, ev := range evs {
+		i, ev := i, ev
+		e.Spawn("w", func(p *Proc) error {
+			if _, err := p.Wait(ev); err != nil {
+				return err
+			}
+			if !almostEq(p.Now(), 5, 1e-9) {
+				t.Errorf("flow %d done at %v, want 5", i, p.Now())
+			}
+			order = append(order, i)
+			return nil
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("completions fired in order %v, want [0 1 2]", order)
 	}
 }
 

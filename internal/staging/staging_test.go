@@ -188,6 +188,13 @@ func TestStoreQueryExact(t *testing.T) {
 			query: [2][]uint64{{30}, {70}},
 			want:  [][2][]uint64{{{40}, {60}}, {{30}, {40}}, {{60}, {70}}},
 		},
+		{
+			// An empty block inside the query overlaps nothing.
+			name:  "empty-block",
+			boxes: [][2][]uint64{{{5}, {5}}, {{0}, {10}}},
+			query: [2][]uint64{{0}, {10}},
+			want:  [][2][]uint64{{{0}, {10}}},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
