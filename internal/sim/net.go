@@ -38,22 +38,13 @@ type Link struct {
 	// completions stays until the next flush compacts the list.
 	paths  []*path
 	capped int
-	// path0 backs paths until a second entry arrives: most links carry
-	// one path at a time.
-	path0 [1]*path
 	// dirty marks membership in Net.dirtyLinks; inComp is BFS scratch
 	// for the incremental recomputation.
 	dirty  bool
 	inComp bool
 
-	// util holds the utilization tracks attached by RecordUtilization;
-	// nil until then, as for most links.
-	util *utilTracks
-}
-
-// utilTracks are a link's utilization series and the utilization they
-// last received (idle until then).
-type utilTracks struct {
+	// series are the utilization tracks attached by RecordUtilization;
+	// recorded is the utilization they last received (idle until then).
 	series   []*metrics.Series
 	recorded float64
 }
@@ -96,10 +87,7 @@ func (l *Link) Utilization() float64 {
 // appends (now, Utilization()) to s, so s holds the change points from
 // idle.
 func (l *Link) RecordUtilization(s *metrics.Series) {
-	if l.util == nil {
-		l.util = new(utilTracks)
-	}
-	l.util.series = append(l.util.series, s)
+	l.series = append(l.series, s)
 }
 
 // record appends the link's utilization to its series when it differs
@@ -109,11 +97,11 @@ func (l *Link) RecordUtilization(s *metrics.Series) {
 // not move.
 func (l *Link) record(t Time) {
 	u := l.Utilization()
-	if u == l.util.recorded {
+	if u == l.recorded {
 		return
 	}
-	l.util.recorded = u
-	for _, s := range l.util.series {
+	l.recorded = u
+	for _, s := range l.series {
 		s.Append(t, u)
 	}
 }
@@ -212,16 +200,11 @@ type path struct {
 	rate    float64
 	// flows are the members in non-decreasing remaining order: they
 	// progress at one rate, so the next to finish is flows[0] and the
-	// finished ones form a prefix. head is flows[0].remaining, kept
-	// here so the per-event scans read the path alone.
+	// finished ones form a prefix.
 	flows  []*netFlow
-	head   float64
 	idx    int32 // position in Net.paths; -1 once freed
 	fixed  bool
 	inComp bool
-	// flow0 backs flows until a second member arrives: most paths have
-	// one.
-	flow0 [1]*netFlow
 }
 
 // NewNet returns an empty network bound to the engine.
@@ -235,7 +218,6 @@ func (e *Engine) NewNet() *Net {
 // NewLink adds a link with the given capacity in bytes per second.
 func (n *Net) NewLink(name string, bytesPerSec float64) *Link {
 	l := &Link{id: len(n.links), name: name, rate: bytesPerSec}
-	l.paths = l.path0[:0]
 	n.links = append(n.links, l)
 	n.remCap = append(n.remCap, 0)
 	n.count = append(n.count, 0)
@@ -289,9 +271,6 @@ func (n *Net) StartFlowCapped(bytes, rateCap float64, links ...*Link) *Event {
 		p.flows[i] = p.flows[i-1]
 	}
 	p.flows[i] = f
-	if i == 0 {
-		p.head = bytes
-	}
 	for _, l := range links {
 		l.bytesMoved += bytes
 		l.flowsEver++
@@ -323,7 +302,6 @@ func (n *Net) pathFor(links []*Link, rateCap float64) *path {
 		n.free = n.free[:k-1]
 	} else {
 		p = new(path)
-		p.flows = p.flow0[:0]
 	}
 	p.links, p.rateCap, p.rate = links, rateCap, 0
 	p.idx = int32(len(n.paths))
@@ -462,10 +440,6 @@ func (n *Net) advance() {
 				f.remaining = 0
 			}
 		}
-		p.head -= d
-		if p.head < 0 {
-			p.head = 0
-		}
 	}
 }
 
@@ -475,7 +449,7 @@ func (n *Net) advance() {
 func (n *Net) assignRates() {
 	n.fillRates(n.paths)
 	for _, l := range n.links {
-		if l.util != nil {
+		if l.series != nil {
 			l.record(n.e.now)
 		}
 	}
@@ -518,7 +492,7 @@ func (n *Net) assignRatesIncremental() {
 	for _, l := range comp {
 		l.inComp = false
 		l.dirty = false
-		if l.util != nil {
+		if l.series != nil {
 			l.record(n.e.now)
 		}
 	}
@@ -692,7 +666,7 @@ func (n *Net) scheduleNext() {
 		if p.rate <= 0 {
 			continue
 		}
-		t := p.head / p.rate
+		t := p.flows[0].remaining / p.rate
 		if t < tmin {
 			tmin = t
 		}
@@ -712,9 +686,6 @@ func (n *Net) onCompletion() {
 	n.advance()
 	done := n.finished[:0]
 	for _, p := range n.paths {
-		if p.head > completionEps {
-			continue
-		}
 		k := 0
 		for k < len(p.flows) && p.flows[k].remaining <= completionEps {
 			k++
@@ -726,9 +697,7 @@ func (n *Net) onCompletion() {
 		m := copy(p.flows, p.flows[k:])
 		clear(p.flows[m:])
 		p.flows = p.flows[:m]
-		if m > 0 {
-			p.head = p.flows[0].remaining
-		} else {
+		if m == 0 {
 			n.emptied = true
 		}
 	}

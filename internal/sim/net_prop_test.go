@@ -179,8 +179,7 @@ func checkLinkLists(n *Net) error {
 
 // checkPaths asserts the invariants the path solver relies on after a
 // flush: every path in Net.paths is at its index, non-empty, and holds
-// its members in non-decreasing remaining order, the first one's in
-// head; every link lists each path crossing it once per occurrence and
+// its members in non-decreasing remaining order; every link lists each path crossing it once per occurrence and
 // no other, none empty, and counts its capped entries.
 func checkPaths(n *Net) error {
 	want := make(map[*Link]map[*path]int)
@@ -190,9 +189,6 @@ func checkPaths(n *Net) error {
 		}
 		if len(p.flows) == 0 {
 			return fmt.Errorf("path %d is empty", i)
-		}
-		if math.Float64bits(p.head) != math.Float64bits(p.flows[0].remaining) {
-			return fmt.Errorf("path %d head %v, first member has %v left", i, p.head, p.flows[0].remaining)
 		}
 		for j, f := range p.flows {
 			if f.path != p {
@@ -586,9 +582,11 @@ func scanFill(n *Net, flows []*netFlow) (rates, cur []float64) {
 }
 
 // randomFlowSet builds a network holding a random set of active flows,
-// never run. The flows draw from a few link lists, some listing one link
-// twice, and a few cap values, so paths have several members and the
-// caps on a bottleneck bind differently; some links have zero capacity.
+// never run. The flows draw from between one link list and one per flow,
+// some listing one link twice, and half of them from between one cap
+// value and one per flow, so seeds cover paths with many members, many
+// one-flow paths on one bottleneck, and caps on a bottleneck that bind
+// differently; some links have zero capacity.
 // A third of the flows are tiny and are retired again through
 // onCompletion and the flush's compaction, so the links' lists are as
 // completions leave them.
@@ -604,7 +602,8 @@ func randomFlowSet(seed int64) *Net {
 		}
 		links[i] = n.NewLink(fmt.Sprintf("l%d", i), rate)
 	}
-	lists := make([][]*Link, 1+rng.Intn(8))
+	nFlows := 1 + rng.Intn(60)
+	lists := make([][]*Link, 1+rng.Intn(nFlows))
 	for i := range lists {
 		for j := 0; j < 1+rng.Intn(3); j++ {
 			lists[i] = append(lists[i], links[rng.Intn(nLinks)])
@@ -613,17 +612,20 @@ func randomFlowSet(seed int64) *Net {
 			lists[i] = append(lists[i], lists[i][0])
 		}
 	}
-	caps := []float64{0, 0}
-	for i := 0; i < 1+rng.Intn(3); i++ {
-		caps = append(caps, 1e4+2e6*rng.Float64())
+	caps := make([]float64, 1+rng.Intn(nFlows))
+	for i := range caps {
+		caps[i] = 1e4 + 2e6*rng.Float64()
 	}
-	nFlows := 1 + rng.Intn(60)
 	for i := 0; i < nFlows; i++ {
 		bytes := 1e3 + 1e6*rng.Float64()
 		if rng.Intn(3) == 0 {
 			bytes = completionEps / 2
 		}
-		n.StartFlowCapped(bytes, caps[rng.Intn(len(caps))], lists[rng.Intn(len(lists))]...)
+		var rateCap float64
+		if rng.Intn(2) == 0 {
+			rateCap = caps[rng.Intn(len(caps))]
+		}
+		n.StartFlowCapped(bytes, rateCap, lists[rng.Intn(len(lists))]...)
 	}
 	n.onCompletion()
 	n.compactDirtyLinks()
@@ -636,9 +638,10 @@ func randomFlowSet(seed int64) *Net {
 // bit for bit: fillRates does not depend on the order of its input,
 // which is what lets the incremental path hand it a component's paths in
 // walk order. Across the seeds, some bottleneck must have been fixed
-// flow by flow and some path must hold several flows.
+// flow by flow, some path must hold several flows, and some link must
+// be crossed by many one-flow paths.
 func TestFillMatchesScanOracle(t *testing.T) {
-	perFlow, shared := 0, 0
+	perFlow, shared, fanIn := 0, 0, 0
 	for seed := int64(1); seed <= 3000; seed++ {
 		n := randomFlowSet(seed)
 		if err := checkPaths(n); err != nil {
@@ -671,9 +674,21 @@ func TestFillMatchesScanOracle(t *testing.T) {
 				break
 			}
 		}
+		for _, l := range n.links {
+			single := 0
+			for _, p := range l.paths {
+				if len(p.flows) == 1 {
+					single++
+				}
+			}
+			if single >= 8 {
+				fanIn++
+				break
+			}
+		}
 	}
-	if perFlow == 0 || shared == 0 {
-		t.Fatalf("%d seeds fixed a bottleneck flow by flow and %d had a path of several flows; want both > 0",
-			perFlow, shared)
+	if perFlow == 0 || shared == 0 || fanIn == 0 {
+		t.Fatalf("%d seeds fixed a bottleneck flow by flow, %d had a path of several flows and %d a link crossed by 8 one-flow paths; want all > 0",
+			perFlow, shared, fanIn)
 	}
 }

@@ -151,9 +151,7 @@ func BenchmarkFlushMatched(b *testing.B) {
 		p := n.paths[0]
 		f := p.flows[0]
 		p.flows = p.flows[1:]
-		if len(p.flows) > 0 {
-			p.head = p.flows[0].remaining
-		} else {
+		if len(p.flows) == 0 {
 			n.emptied = true
 		}
 		n.detach(f)
