@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"github.com/imcstudy/imcstudy"
@@ -199,16 +198,8 @@ func summarize(w io.Writer, res imcstudy.RunResult) {
 		fmtBytes(res.SimPeakBytes), fmtBytes(res.AnaPeakBytes),
 		fmtBytes(res.ServerPeakBytes), fmtBytes(res.ServerTotalBytes))
 
-	var mpiOps []string
-	for name := range snap.Counters {
-		if strings.HasPrefix(name, "mpi/") && strings.HasSuffix(name, "/bytes") {
-			mpiOps = append(mpiOps, strings.TrimSuffix(strings.TrimPrefix(name, "mpi/"), "/bytes"))
-		}
-	}
-	sort.Strings(mpiOps)
-	for _, op := range mpiOps {
-		fmt.Fprintf(w, "mpi %-10s %8.0f msgs  %s\n", op,
-			snap.Counters["mpi/"+op+"/msgs"], fmtBytes(int64(snap.Counters["mpi/"+op+"/bytes"])))
+	if n, ok := snap.Counters["mpi/p2p/msgs"]; ok {
+		fmt.Fprintf(w, "mpi p2p        %8.0f msgs  %s\n", n, fmtBytes(int64(snap.Counters["mpi/p2p/bytes"])))
 	}
 	if n := snap.Counters["staging/put/objects"]; n > 0 {
 		fmt.Fprintf(w, "staging: %.0f objects staged (%s), %.0f dropped\n",

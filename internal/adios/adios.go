@@ -6,9 +6,9 @@
 //
 // The framework costs modelled are the ones the paper attributes to
 // ADIOS: an extra buffered copy of every written variable (freed at
-// close), optional statistics gathering (stats="off" in Table I turns it
-// off), and the XML-driven configuration path that Table III counts
-// toward integration effort.
+// close), and the XML-driven configuration path that Table III counts
+// toward integration effort. Table I runs with stats="off", so the
+// statistics pass is not modelled and ParseConfig rejects stats="on".
 package adios
 
 import (
@@ -61,10 +61,6 @@ func (k MethodKind) String() string {
 	}
 }
 
-// StatsBytesPerSec is the throughput of the statistics pass when a group
-// has stats enabled.
-const StatsBytesPerSec = 1e9
-
 // VarDecl is one declared variable.
 type VarDecl struct {
 	Name string
@@ -74,7 +70,6 @@ type VarDecl struct {
 // GroupDecl is one adios-group.
 type GroupDecl struct {
 	Name   string
-	Stats  bool
 	Vars   []VarDecl
 	Method MethodKind
 	Params string
@@ -126,7 +121,10 @@ func ParseConfig(doc []byte) (*Config, error) {
 		cfg.BufferSizeMB = x.Buffer.SizeMB
 	}
 	for _, g := range x.Groups {
-		decl := &GroupDecl{Name: g.Name, Stats: strings.EqualFold(g.Stats, "on")}
+		if strings.EqualFold(g.Stats, "on") {
+			return nil, fmt.Errorf("adios: group %s: stats=\"on\" is not modelled", g.Name)
+		}
+		decl := &GroupDecl{Name: g.Name}
 		for _, v := range g.Vars {
 			dims, err := parseDims(v.Dimensions)
 			if err != nil {
@@ -209,11 +207,10 @@ type ReadTransport interface {
 
 // Writer is one rank's adios_open/adios_write/adios_close cycle.
 type Writer struct {
-	m     *hpc.Machine
-	node  *hpc.Node
-	comp  string
-	group *GroupDecl
-	tr    WriteTransport
+	m    *hpc.Machine
+	node *hpc.Node
+	comp string
+	tr   WriteTransport
 
 	open     bool
 	step     int
@@ -224,11 +221,10 @@ type Writer struct {
 
 // NewWriter creates a writer for the named group on node.
 func NewWriter(m *hpc.Machine, node *hpc.Node, cfg *Config, group, component string, tr WriteTransport) (*Writer, error) {
-	g, ok := cfg.Groups[group]
-	if !ok {
+	if _, ok := cfg.Groups[group]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownGroup, group)
 	}
-	return &Writer{m: m, node: node, comp: component, group: g, tr: tr}, nil
+	return &Writer{m: m, node: node, comp: component, tr: tr}, nil
 }
 
 // Open begins a write step (adios_open).
@@ -254,11 +250,6 @@ func (w *Writer) Write(p *sim.Proc, varName string, blk ndarray.Block) error {
 	// The buffered memcpy crosses the node's memory bus.
 	if err := p.Transfer(w.m.Net, float64(blk.Bytes()), w.node.Bus()); err != nil {
 		return err
-	}
-	if w.group.Stats {
-		if err := w.m.Compute(p, float64(blk.Bytes())/StatsBytesPerSec); err != nil {
-			return err
-		}
 	}
 	w.buffered = append(w.buffered, blk)
 	w.bufVars = append(w.bufVars, varName)

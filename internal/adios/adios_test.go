@@ -29,9 +29,6 @@ func TestParseConfig(t *testing.T) {
 	if !ok {
 		t.Fatal("group output missing")
 	}
-	if g.Stats {
-		t.Fatal("stats should be off")
-	}
 	if g.Method != MethodDataSpaces {
 		t.Fatalf("method = %v, want DATASPACES", g.Method)
 	}
@@ -58,6 +55,7 @@ func TestParseConfigErrors(t *testing.T) {
 		"bad group":  `<adios-config><adios-group name="g"><var name="v" dimensions="4"/></adios-group><method group="nope" method="MPI"/></adios-config>`,
 		"no method":  `<adios-config><adios-group name="g"><var name="v" dimensions="4"/></adios-group></adios-config>`,
 		"bad dims":   `<adios-config><adios-group name="g"><var name="v" dimensions="4,x"/></adios-group><method group="g" method="MPI"/></adios-config>`,
+		"stats on":   `<adios-config><adios-group name="g" stats="on"><var name="v" dimensions="4"/></adios-group><method group="g" method="MPI"/></adios-config>`,
 	}
 	for name, doc := range cases {
 		if _, err := ParseConfig([]byte(doc)); err == nil {
@@ -207,43 +205,5 @@ func TestNewWriterUnknownGroup(t *testing.T) {
 	cfg := &Config{Groups: map[string]*GroupDecl{}}
 	if _, err := NewWriter(m, m.Nodes[0], cfg, "nope", "w", nil); !errors.Is(err, ErrUnknownGroup) {
 		t.Fatalf("error = %v, want ErrUnknownGroup", err)
-	}
-}
-
-func TestStatsPassCostsTime(t *testing.T) {
-	e := sim.NewEngine()
-	m, err := hpc.New(e, hpc.Titan(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := ParseConfig([]byte(`<adios-config><adios-group name="g" stats="on"><var name="v" dimensions="1048576"/></adios-group><method group="g" method="MPI"/></adios-config>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Groups["g"].Stats {
-		t.Fatal("stats=on not parsed")
-	}
-	w, err := NewWriter(m, m.Nodes[0], cfg, "g", "w0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := ndarray.NewBox([]uint64{0}, []uint64{1 << 20})
-	var end sim.Time
-	e.Spawn("p", func(p *sim.Proc) error {
-		if err := w.Open(1); err != nil {
-			return err
-		}
-		if err := w.Write(p, "v", ndarray.NewSyntheticBlock(b)); err != nil {
-			return err
-		}
-		end = p.Now()
-		return nil
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// 8 MB at 1 GB/s stats + 8 MB bus copy: stats dominates (~8 ms).
-	if end < 8e-3 {
-		t.Fatalf("stats-on write took %v, want >= 8 ms", end)
 	}
 }

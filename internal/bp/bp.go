@@ -1,9 +1,9 @@
 // Package bp implements an ADIOS-style binary-packed (BP) self-describing
 // file format: process groups of variable blocks with dimensions and
-// offsets, per-variable statistics, and a trailing index that lets a
-// reader locate any variable's blocks without scanning the file
-// (Section II-A: "ADIOS designs a binary-packed mechanism that allows for
-// the self-describing data format").
+// offsets, and a trailing index that lets a reader locate any variable's
+// blocks without scanning the file (Section II-A: "ADIOS designs a
+// binary-packed mechanism that allows for the self-describing data
+// format").
 //
 // The MPI-IO baseline uses this encoding for its step files, so the
 // bytes the Lustre model charges correspond to a real, decodable layout.
@@ -35,30 +35,23 @@ var (
 	ErrVarNotFound = errors.New("bp: variable not found")
 )
 
-// Stats are the per-block statistics ADIOS computes when stats are on.
-type Stats struct {
-	Min, Max, Avg float64
-}
-
 // blockEntry locates one staged block inside the file.
 type blockEntry struct {
 	varName string
 	box     ndarray.Box
 	offset  uint64 // payload offset in the file
-	stats   Stats
 	dense   bool
 }
 
 // Writer accumulates process groups and renders the file.
 type Writer struct {
-	withStats bool
-	buf       []byte
-	index     []blockEntry
+	buf   []byte
+	index []blockEntry
 }
 
-// NewWriter returns a writer; withStats adds min/max/avg per block.
-func NewWriter(withStats bool) *Writer {
-	w := &Writer{withStats: withStats}
+// NewWriter returns an empty writer.
+func NewWriter() *Writer {
+	w := &Writer{}
 	w.buf = binary.BigEndian.AppendUint32(w.buf, magic)
 	w.buf = binary.BigEndian.AppendUint16(w.buf, versionNum)
 	return w
@@ -75,38 +68,13 @@ func (w *Writer) Write(varName string, blk ndarray.Block) error {
 		offset:  uint64(len(w.buf)),
 		dense:   blk.Dense(),
 	}
-	if w.withStats && blk.Dense() {
-		entry.stats = computeStats(blk.Data)
-	}
-	if blk.Dense() {
-		for _, v := range blk.Data {
-			w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
-		}
-	} else {
-		// Synthetic blocks record size only (the model's timing payloads).
-		w.buf = append(w.buf, make([]byte, 0)...)
+	// Synthetic blocks (the model's timing payloads) record their box
+	// only.
+	for _, v := range blk.Data {
+		w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
 	}
 	w.index = append(w.index, entry)
 	return nil
-}
-
-func computeStats(data []float64) Stats {
-	if len(data) == 0 {
-		return Stats{}
-	}
-	s := Stats{Min: data[0], Max: data[0]}
-	var sum float64
-	for _, v := range data {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		sum += v
-	}
-	s.Avg = sum / float64(len(data))
-	return s
 }
 
 // Bytes finalizes the file: payloads, then the index, then the footer
@@ -127,15 +95,7 @@ func (w *Writer) Bytes() []byte {
 		if e.dense {
 			flags |= 1
 		}
-		if w.withStats {
-			flags |= 2
-		}
 		out = append(out, flags)
-		if w.withStats {
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(e.stats.Min))
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(e.stats.Max))
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(e.stats.Avg))
-		}
 	}
 	out = binary.BigEndian.AppendUint64(out, indexOff)
 	out = binary.BigEndian.AppendUint32(out, magic)
@@ -203,6 +163,9 @@ func NewReader(buf []byte) (*Reader, error) {
 		if err != nil {
 			return nil, err
 		}
+		if flags&^1 != 0 {
+			return nil, fmt.Errorf("bp: unknown block flags %#x", flags)
+		}
 		e.dense = flags&1 != 0
 		if e.dense {
 			// A dense block's element count must fit the file, and its
@@ -222,17 +185,6 @@ func NewReader(buf []byte) (*Reader, error) {
 			if elems > uint64(len(buf))/8 {
 				return nil, ErrTruncated
 			}
-		}
-		if flags&2 != 0 {
-			vals := [3]float64{}
-			for k := range vals {
-				bits, err := d.uint64()
-				if err != nil {
-					return nil, err
-				}
-				vals[k] = math.Float64frombits(bits)
-			}
-			e.stats = Stats{Min: vals[0], Max: vals[1], Avg: vals[2]}
 		}
 		r.index = append(r.index, e)
 	}
@@ -261,21 +213,6 @@ func (r *Reader) Blocks(varName string) []ndarray.Box {
 		}
 	}
 	return out
-}
-
-// StatsOf returns the recorded statistics of block i of varName.
-func (r *Reader) StatsOf(varName string, i int) (Stats, error) {
-	n := 0
-	for _, e := range r.index {
-		if e.varName != varName {
-			continue
-		}
-		if n == i {
-			return e.stats, nil
-		}
-		n++
-	}
-	return Stats{}, fmt.Errorf("%w: %s block %d", ErrVarNotFound, varName, i)
 }
 
 // Read assembles the requested region of varName from the stored blocks.

@@ -1,8 +1,9 @@
 package bp
 
 import (
+	"crypto/sha256"
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,7 +22,7 @@ func box(t testing.TB, lo, hi []uint64) ndarray.Box {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	w := NewWriter(true)
+	w := NewWriter()
 	global := box(t, []uint64{0, 0}, []uint64{4, 8})
 	data := make([]float64, 32)
 	for i := range data {
@@ -67,31 +68,29 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatsRecorded(t *testing.T) {
-	w := NewWriter(true)
-	b := box(t, []uint64{0}, []uint64{4})
-	blk, err := ndarray.NewDenseBlock(b, []float64{1, -3, 5, 1})
+// The encoding of a dense and a synthetic block is pinned byte for byte,
+// so a change to the format shows up here first.
+func TestEncodingIsStable(t *testing.T) {
+	w := NewWriter()
+	dense, err := ndarray.NewDenseBlock(box(t, []uint64{0, 2}, []uint64{2, 4}), []float64{1, -2.5, 3, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write("v", blk); err != nil {
+	if err := w.Write("u", dense); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(w.Bytes())
-	if err != nil {
+	if err := w.Write("v", ndarray.NewSyntheticBlock(box(t, []uint64{8}, []uint64{1 << 20}))); err != nil {
 		t.Fatal(err)
 	}
-	s, err := r.StatsOf("v", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Min != -3 || s.Max != 5 || math.Abs(s.Avg-1) > 1e-12 {
-		t.Fatalf("stats = %+v", s)
+	buf := w.Bytes()
+	const want = "15d9404ed40fe89b687340892af971e3687c33c92d7dad19264b0b3fe928a0bb"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf)); len(buf) != 138 || got != want {
+		t.Fatalf("encoding = %d bytes, sha256 %s; want 138 bytes, %s", len(buf), got, want)
 	}
 }
 
 func TestSyntheticBlocksIndexOnly(t *testing.T) {
-	w := NewWriter(false)
+	w := NewWriter()
 	b := box(t, []uint64{0}, []uint64{1 << 20})
 	if err := w.Write("v", ndarray.NewSyntheticBlock(b)); err != nil {
 		t.Fatal(err)
@@ -122,13 +121,20 @@ func TestReaderRejectsGarbage(t *testing.T) {
 		t.Fatalf("error = %v, want ErrTruncated", err)
 	}
 	// Corrupt the footer of a valid file.
-	w := NewWriter(false)
+	w := NewWriter()
 	b := box(t, []uint64{0}, []uint64{2})
 	blk, _ := ndarray.NewDenseBlock(b, []float64{1, 2})
 	if err := w.Write("v", blk); err != nil {
 		t.Fatal(err)
 	}
 	buf := w.Bytes()
+	// The block's flags byte sits just before the footer; only bit 0
+	// (dense) is defined.
+	flagged := append([]byte(nil), buf...)
+	flagged[len(flagged)-footerLen-1] |= 2
+	if _, err := NewReader(flagged); err == nil {
+		t.Fatal("unknown block flags accepted")
+	}
 	buf[len(buf)-1] ^= 0xFF
 	if _, err := NewReader(buf); err == nil {
 		t.Fatal("corrupt footer accepted")
@@ -136,7 +142,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 }
 
 func TestReadUnknownVar(t *testing.T) {
-	w := NewWriter(false)
+	w := NewWriter()
 	b := box(t, []uint64{0}, []uint64{2})
 	blk, _ := ndarray.NewDenseBlock(b, []float64{1, 2})
 	if err := w.Write("v", blk); err != nil {
@@ -171,7 +177,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w := NewWriter(rng.Intn(2) == 0)
+		w := NewWriter()
 		for _, bx := range boxes {
 			sub, err := whole.Sub(bx)
 			if err != nil {
@@ -198,7 +204,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 // Decoding arbitrary mutations of a valid file must never panic.
 func TestReaderMutationNeverPanics(t *testing.T) {
-	w := NewWriter(true)
+	w := NewWriter()
 	b := box(t, []uint64{0, 0}, []uint64{4, 4})
 	data := make([]float64, 16)
 	blk, err := ndarray.NewDenseBlock(b, data)

@@ -6,6 +6,7 @@ import (
 	"github.com/imcstudy/imcstudy/internal/hpc"
 	"github.com/imcstudy/imcstudy/internal/ndarray"
 	"github.com/imcstudy/imcstudy/internal/sim"
+	"github.com/imcstudy/imcstudy/internal/staging"
 )
 
 // TestNToOneServerSequence verifies the Finding 3 mechanism end to end:
@@ -117,7 +118,7 @@ func TestRegionWalkOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, srv := range sys.Servers() {
-		blocks, err := srv.Store.Query(keyFor("v", 1), regions[k])
+		blocks, err := srv.Store.Query(staging.Key{Var: "v", Version: 1}, regions[k])
 		if err != nil {
 			t.Fatalf("server %d missing its region: %v", k, err)
 		}

@@ -23,11 +23,11 @@ package dataspaces
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/imcstudy/imcstudy/internal/hpc"
 	"github.com/imcstudy/imcstudy/internal/ndarray"
-	"github.com/imcstudy/imcstudy/internal/sfc"
 	"github.com/imcstudy/imcstudy/internal/sim"
 	"github.com/imcstudy/imcstudy/internal/staging"
 	"github.com/imcstudy/imcstudy/internal/transport"
@@ -253,11 +253,7 @@ func (s *System) DefineDims(varName string, global ndarray.Box) error {
 		return nil
 	}
 	// Strictly-greater padding per the paper: 2^k > longest extent.
-	longest := global.Dims()[ndarray.LongestDim(global)]
-	k := sfc.BitsFor(longest)
-	if uint64(1)<<uint(k) == longest {
-		k++
-	}
+	k := bits.Len64(global.Dims()[ndarray.LongestDim(global)])
 	cells := 1.0
 	for i := 0; i < global.Rank(); i++ {
 		cells *= float64(uint64(1) << uint(k))
@@ -743,10 +739,4 @@ func (s *System) Shutdown() {
 		s.m.Free(srv.Node, srv.comp, "base", ServerBaseBytes)
 		s.m.Free(srv.Node, srv.comp, "index", s.m.Mem.Component(srv.comp).CurrentOf("index"))
 	}
-}
-
-// keyFor builds the store key of a variable version (exported for tests
-// inside the package).
-func keyFor(varName string, version int) staging.Key {
-	return staging.Key{Var: varName, Version: version}
 }

@@ -185,21 +185,40 @@ func TestLongestDimDecompositionMismatch(t *testing.T) {
 }
 
 func TestSFCIndexMemoryCharged(t *testing.T) {
-	_, m := newTitan(t, 2)
-	sys, err := Deploy(m, Config{Servers: 4, Writers: 1, Hash: HashSFC}, m.Nodes[:2])
-	if err != nil {
-		t.Fatal(err)
+	// The index pads every dimension to the longest extent's strictly
+	// greater power of two, 2^k > longest.
+	cases := []struct {
+		hi     []uint64
+		padded float64
+	}{
+		{[]uint64{1}, 2},
+		{[]uint64{3}, 4},
+		{[]uint64{4}, 8},
+		{[]uint64{5}, 8},
+		{[]uint64{131071}, 131072},
+		{[]uint64{131073}, 262144},
+		// Fig 6: 64 procs of 4096 x 2048 give 4096 x 131072, padded to
+		// 262144^2 cells (~3.4 GB per server of 4); at 4096 per proc the
+		// longest extent is 64*4096 = 2^18, padded to 524288.
+		{[]uint64{4096, 131072}, 262144},
+		{[]uint64{4096, 64 * 4096}, 524288},
 	}
-	// 2D 4096 x 131072: padded strictly-greater to 262144^2 cells.
-	if err := sys.DefineDims("u", box(t, []uint64{0, 0}, []uint64{4096, 131072})); err != nil {
-		t.Fatal(err)
-	}
-	perServer := sys.IndexBytes(0)
-	// 262144^2 cells x 0.2 B / 4 servers = ~3.4 GB.
-	cells := float64(262144) * float64(262144)
-	want := int64(cells * SFCIndexBytesPerCell / 4)
-	if perServer != want {
-		t.Fatalf("index bytes = %d, want %d", perServer, want)
+	for _, tc := range cases {
+		_, m := newTitan(t, 2)
+		sys, err := Deploy(m, Config{Servers: 4, Writers: 1, Hash: HashSFC}, m.Nodes[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.DefineDims("u", box(t, make([]uint64, len(tc.hi)), tc.hi)); err != nil {
+			t.Fatalf("%v: %v", tc.hi, err)
+		}
+		cells := 1.0
+		for range tc.hi {
+			cells *= tc.padded
+		}
+		if got, want := sys.IndexBytes(0), int64(cells*SFCIndexBytesPerCell/4); got != want {
+			t.Errorf("%v: index bytes = %d, want %d", tc.hi, got, want)
+		}
 	}
 }
 

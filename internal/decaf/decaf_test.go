@@ -27,11 +27,21 @@ func buildWorld(t *testing.T, spec hpc.Spec, prod, dflow, cons int) (*sim.Engine
 	g.AddNode("con", RoleConsumer, cons)
 	g.AddEdge("prod", "dflow", RedistCount)
 	g.AddEdge("dflow", "con", RedistCount)
-	world, err := mpi.NewComm(m, m.Nodes, total, 4)
+	return e, m, g, worldComm(t, m, total)
+}
+
+// worldComm places size ranks onto the machine's nodes, 4 per node.
+func worldComm(t *testing.T, m *hpc.Machine, size int) *mpi.Comm {
+	t.Helper()
+	nodes := make([]*hpc.Node, size)
+	for i := range nodes {
+		nodes[i] = m.Nodes[i/4]
+	}
+	world, err := mpi.NewCommExplicit(m, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, m, g, world
+	return world
 }
 
 func TestPutGetRoundTripCountRedist(t *testing.T) {
@@ -128,10 +138,7 @@ func TestColocatedNeedsHeterogeneous(t *testing.T) {
 	g.AddNode("dflow", RoleDflow, 2)
 	g.AddNode("con", RoleConsumer, 2)
 	g.AddEdge("prod", "dflow", RedistCount)
-	world, err := mpi.NewComm(m, m.Nodes, 6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	world := worldComm(t, m, 6)
 	if _, err := Deploy(m, g, world, true); !errors.Is(err, ErrHeterogeneous) {
 		t.Fatalf("error = %v, want ErrHeterogeneous", err)
 	}

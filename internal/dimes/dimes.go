@@ -395,9 +395,6 @@ func (c *Client) Get(p *sim.Proc, varName string, version int, box ndarray.Box) 
 	return out, nil
 }
 
-// PinnedBytes returns the bytes currently pinned in the RDMA pool.
-func (c *Client) PinnedBytes() int64 { return c.pinBytes }
-
 // Close releases everything the client holds. Versions drop in sorted
 // key order, not map order: Deregister can unblock registration waiters,
 // so iteration order is event order.

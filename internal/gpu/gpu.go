@@ -90,9 +90,6 @@ func (d *Device) Spec() Spec { return d.spec }
 // Node returns the hosting node.
 func (d *Device) Node() *hpc.Node { return d.node }
 
-// SupportsDirect reports whether the device has a direct staging path.
-func (d *Device) SupportsDirect() bool { return d.nvl != nil }
-
 // Alloc reserves device memory; it fails hard like cudaMalloc.
 func (d *Device) Alloc(bytes int64) error {
 	if err := d.mem.TryAcquire(bytes); err != nil {
@@ -105,13 +102,9 @@ func (d *Device) Alloc(bytes int64) error {
 // Free returns device memory.
 func (d *Device) Free(bytes int64) { d.mem.Release(bytes) }
 
-// CopyD2H moves bytes device-to-host over the PCIe link.
+// CopyD2H moves bytes device-to-host over the PCIe link. Both directions
+// share the one link, so it times a host-to-device copy too.
 func (d *Device) CopyD2H(p *sim.Proc, bytes int64) error {
-	return p.Transfer(d.m.Net, float64(bytes), d.pcie)
-}
-
-// CopyH2D moves bytes host-to-device over the PCIe link.
-func (d *Device) CopyH2D(p *sim.Proc, bytes int64) error {
 	return p.Transfer(d.m.Net, float64(bytes), d.pcie)
 }
 

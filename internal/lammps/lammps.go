@@ -241,15 +241,6 @@ func (s *Sim) Advance() {
 	}
 }
 
-// KineticTemp returns the instantaneous reduced temperature.
-func (s *Sim) KineticTemp() float64 {
-	var ke float64
-	for i := 0; i < 3*s.n; i++ {
-		ke += s.vel[i] * s.vel[i]
-	}
-	return ke / (3 * float64(s.n)) // m = 1, kB = 1
-}
-
 // TotalEnergy returns kinetic plus LJ potential energy (for conservation
 // tests).
 func (s *Sim) TotalEnergy() float64 {

@@ -1,9 +1,8 @@
 // Package mpi is a miniature MPI-style runtime over the discrete-event
 // machine model: ranks are simulated processes placed onto nodes, and
 // point-to-point messages move real payloads while charging the machine's
-// NIC (or intra-node bus) bandwidth. Decaf's dataflow links, the MPI-IO
-// baseline and the synthetic workflow are built on it, mirroring how the
-// real systems sit on MPI (Section II-A).
+// NIC (or intra-node bus) bandwidth. Decaf's dataflow links are built on
+// it, mirroring how Decaf sits on MPI (Section II-A).
 package mpi
 
 import (
@@ -13,9 +12,6 @@ import (
 	"github.com/imcstudy/imcstudy/internal/hpc"
 	"github.com/imcstudy/imcstudy/internal/sim"
 )
-
-// AnySource matches messages from any sender in Recv.
-const AnySource = -1
 
 // ErrRankRange reports an out-of-range rank argument.
 var ErrRankRange = errors.New("mpi: rank out of range")
@@ -47,29 +43,6 @@ type Comm struct {
 	boxes []*mailbox
 }
 
-// NewComm creates a communicator of size ranks placed onto the given nodes
-// with ranksPerNode ranks per node, in rank order (block placement, like
-// aprun/srun defaults).
-func NewComm(m *hpc.Machine, nodes []*hpc.Node, size, ranksPerNode int) (*Comm, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("mpi: communicator size %d", size)
-	}
-	if ranksPerNode <= 0 {
-		return nil, fmt.Errorf("mpi: %d ranks per node", ranksPerNode)
-	}
-	need := (size + ranksPerNode - 1) / ranksPerNode
-	if len(nodes) < need {
-		return nil, fmt.Errorf("mpi: %d ranks at %d per node need %d nodes, have %d",
-			size, ranksPerNode, need, len(nodes))
-	}
-	c := &Comm{m: m}
-	for r := 0; r < size; r++ {
-		c.nodes = append(c.nodes, nodes[r/ranksPerNode])
-		c.boxes = append(c.boxes, &mailbox{})
-	}
-	return c, nil
-}
-
 // NewCommExplicit creates a communicator with an explicit node per rank
 // (MPMD-style placement, used by Decaf to pin producer, dataflow and
 // consumer rank ranges to their own node pools).
@@ -94,29 +67,10 @@ func (c *Comm) Size() int { return len(c.nodes) }
 // Node returns the node hosting the given rank.
 func (c *Comm) Node(rank int) *hpc.Node { return c.nodes[rank] }
 
-// Machine returns the machine the communicator runs on.
-func (c *Comm) Machine() *hpc.Machine { return c.m }
-
-// Sub builds a communicator over a subset of this one's ranks; sub rank i
-// is parent rank ranks[i]. Message matching is private to the new
-// communicator.
-func (c *Comm) Sub(ranks []int) (*Comm, error) {
-	s := &Comm{m: c.m}
-	for _, r := range ranks {
-		if r < 0 || r >= len(c.nodes) {
-			return nil, fmt.Errorf("%w: %d of %d", ErrRankRange, r, len(c.nodes))
-		}
-		s.nodes = append(s.nodes, c.nodes[r])
-		s.boxes = append(s.boxes, &mailbox{})
-	}
-	return s, nil
-}
-
 // Rank is a process's handle onto a communicator.
 type Rank struct {
 	c  *Comm
 	id int
-	op string // collective currently attributing traffic, "" = point-to-point
 }
 
 // Rank returns the handle for rank id; the caller must invoke its methods
@@ -131,36 +85,15 @@ func (c *Comm) Rank(id int) (*Rank, error) {
 // ID returns the rank number.
 func (r *Rank) ID() int { return r.id }
 
-// enterOp attributes the rank's traffic to the named collective until the
-// returned leave function runs. Nested collectives (allreduce over gather
-// and bcast) keep the outermost attribution.
-func (r *Rank) enterOp(name string) (leave func()) {
-	if r.op != "" {
-		return func() {}
-	}
-	r.op = name
-	if reg := r.c.m.Metrics; reg != nil {
-		reg.Counter("mpi/" + name + "/calls").Inc()
-	}
-	return func() { r.op = "" }
-}
-
-// countMsg records one message under the current collective (or p2p).
+// countMsg records one point-to-point message.
 func (r *Rank) countMsg(bytes int64) {
 	reg := r.c.m.Metrics
 	if reg == nil {
 		return
 	}
-	op := r.op
-	if op == "" {
-		op = "p2p"
-	}
-	reg.Counter("mpi/" + op + "/msgs").Inc()
-	reg.Counter("mpi/" + op + "/bytes").Add(float64(bytes))
+	reg.Counter("mpi/p2p/msgs").Inc()
+	reg.Counter("mpi/p2p/bytes").Add(float64(bytes))
 }
-
-// NodeOf returns the node hosting this rank.
-func (r *Rank) NodeOf() *hpc.Node { return r.c.nodes[r.id] }
 
 // Send transmits bytes (and an optional payload) to dst with the given
 // tag, blocking the caller for the wire time (eager protocol).
@@ -182,7 +115,7 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, bytes int64, payload any) (*sim.
 	if dst < 0 || dst >= r.c.Size() {
 		return nil, fmt.Errorf("%w: isend to %d of %d", ErrRankRange, dst, r.c.Size())
 	}
-	r.countMsg(bytes) // at initiation, so the collective attribution holds
+	r.countMsg(bytes)
 	done := p.Engine().NewEvent()
 	rr := r
 	p.Engine().Spawn(fmt.Sprintf("isend-%d-%d", r.id, dst), func(sp *sim.Proc) error {
@@ -219,7 +152,7 @@ func (r *Rank) wire(p *sim.Proc, dst int, bytes int64) error {
 func (c *Comm) deliver(dst int, msg Message) {
 	box := c.boxes[dst]
 	for i, w := range box.waiters {
-		if (w.src == AnySource || w.src == msg.Src) && w.tag == msg.Tag {
+		if w.src == msg.Src && w.tag == msg.Tag {
 			box.waiters = append(box.waiters[:i], box.waiters[i+1:]...)
 			w.got.Fire(msg)
 			return
@@ -228,12 +161,12 @@ func (c *Comm) deliver(dst int, msg Message) {
 	box.queue = append(box.queue, msg)
 }
 
-// Recv blocks until a message with the given source (or AnySource) and tag
-// arrives, and returns it.
+// Recv blocks until a message with the given source and tag arrives, and
+// returns it.
 func (r *Rank) Recv(p *sim.Proc, src, tag int) (Message, error) {
 	box := r.c.boxes[r.id]
 	for i, msg := range box.queue {
-		if (src == AnySource || src == msg.Src) && tag == msg.Tag {
+		if src == msg.Src && tag == msg.Tag {
 			box.queue = append(box.queue[:i], box.queue[i+1:]...)
 			return msg, nil
 		}

@@ -19,11 +19,6 @@ type Config struct {
 	// StripeCount is the Lustre stripe count (-1 = all OSTs, the paper's
 	// setting).
 	StripeCount int
-	// Stats enables ADIOS statistics gathering (the paper turns it off;
-	// on, it adds a min/max/avg pass over every written buffer).
-	Stats bool
-	// StatsBytesPerSec is the throughput of the statistics pass.
-	StatsBytesPerSec float64
 	// Writers is the writer count gating step visibility for readers.
 	Writers int
 }
@@ -31,9 +26,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.StripeCount == 0 {
 		c.StripeCount = -1
-	}
-	if c.StatsBytesPerSec == 0 {
-		c.StatsBytesPerSec = 1e9
 	}
 	return c
 }
@@ -64,11 +56,6 @@ func (s *System) Gate() *staging.Gate { return s.gate }
 func (s *System) WriteStep(p *sim.Proc, node *hpc.Node, rank, step int, bytes int64) error {
 	if err := s.m.FS.MetaOp(p); err != nil {
 		return fmt.Errorf("mpiio write step %d rank %d: %w", step, rank, err)
-	}
-	if s.cfg.Stats {
-		if err := s.m.Compute(p, float64(bytes)/s.cfg.StatsBytesPerSec); err != nil {
-			return err
-		}
 	}
 	offset := int64(rank) * bytes
 	if err := s.m.FS.Write(p, offset, bytes, s.cfg.StripeCount, true, node.Out()); err != nil {

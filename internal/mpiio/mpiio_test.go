@@ -86,33 +86,6 @@ func TestReadWaitsForWriters(t *testing.T) {
 	}
 }
 
-func TestStatsPassCostsCompute(t *testing.T) {
-	e := sim.NewEngine()
-	m, err := hpc.New(e, hpc.Titan(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := New(m, Config{Writers: 1, Stats: true, StatsBytesPerSec: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tOn sim.Time
-	e.Spawn("w", func(p *sim.Proc) error {
-		if err := on.WriteStep(p, m.Nodes[0], 0, 1, 1<<20); err != nil {
-			return err
-		}
-		tOn = p.Now()
-		return nil
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// 1 MiB at 1 MB/s of stats alone is > 1 s.
-	if tOn < 1 {
-		t.Fatalf("stats-on write = %v, want > 1 s", tOn)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	e := sim.NewEngine()
 	m, err := hpc.New(e, hpc.Titan(), 1)

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -74,15 +76,13 @@ func TestScaleFanInIncremental(t *testing.T) {
 }
 
 // BenchmarkScaleFanIn measures the event core at 1k/4k/10k concurrent
-// senders — the machine-room sizes of the PR's scale target. Compare
-// with ForceFullRecompute via BenchmarkScaleFanInFullRecompute to see
-// what the incremental fair-share path buys.
+// senders. Compare with ForceFullRecompute via
+// BenchmarkScaleFanInFullRecompute to see what the incremental fair-share
+// path buys.
 func BenchmarkScaleFanIn(b *testing.B) {
 	for _, senders := range []int{1024, 4096, 10240} {
 		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runFanIn(b, senders, 64, false)
-			}
+			benchFanIn(b, senders, false)
 		})
 	}
 }
@@ -90,10 +90,23 @@ func BenchmarkScaleFanIn(b *testing.B) {
 func BenchmarkScaleFanInFullRecompute(b *testing.B) {
 	for _, senders := range []int{1024, 4096} {
 		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runFanIn(b, senders, 64, true)
-			}
+			benchFanIn(b, senders, true)
 		})
+	}
+}
+
+// benchFanIn times runFanIn with the heap collected, untimed, before each
+// op and the collector off during it. Every op builds a new network, so
+// at the default GC the time follows how many collections an op happens
+// to trigger more than the solver's work.
+func benchFanIn(b *testing.B, senders int, full bool) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		runFanIn(b, senders, 64, full)
 	}
 }
 

@@ -33,11 +33,6 @@ var ErrOutOfSockets = errors.New("transport: out of socket descriptors")
 // registered-memory and handler pressure a hot receiver suffers.
 const RecvWindow = 64
 
-// EagerThreshold is the message size below which the uGNI SMSG eager path
-// is used: small messages are copied through pre-registered mailboxes and
-// need no transient registration.
-const EagerThreshold int64 = 4 << 10
-
 // BounceThreshold is the message size up to which transfers are copied
 // through the receiver's pre-registered bounce-buffer pool: no transient
 // registration, and every sender fair-shares the receiver's NIC — which

@@ -507,7 +507,7 @@ func (c *mpiioCoupler) put(p *sim.Proc, i, step int, blk ndarray.Block) error {
 	}
 	w, ok := c.open[step]
 	if !ok {
-		w = bp.NewWriter(false) // Table I: stats=off
+		w = bp.NewWriter()
 		c.open[step] = w
 	}
 	return w.Write(c.d.varName, blk)

@@ -32,17 +32,9 @@ func attachGPUs(cfg Config, m *hpc.Machine, lay *layout) (map[*hpc.Node]*gpu.Dev
 	return devices, nil
 }
 
-// gpuOut pays the device-side cost of exporting bytes before a put:
-// a PCIe D2H copy when host-staged, an NVLink traversal when direct.
-func gpuOut(p *sim.Proc, cfg Config, devices map[*hpc.Node]*gpu.Device, node *hpc.Node, bytes int64) error {
-	return gpuMove(p, cfg, devices, node, bytes)
-}
-
-// gpuIn pays the device-side cost of importing bytes after a get.
-func gpuIn(p *sim.Proc, cfg Config, devices map[*hpc.Node]*gpu.Device, node *hpc.Node, bytes int64) error {
-	return gpuMove(p, cfg, devices, node, bytes)
-}
-
+// gpuMove pays the device-side cost of moving bytes out of the device
+// before a put or into it after a get: a PCIe copy when host-staged, an
+// NVLink traversal when direct.
 func gpuMove(p *sim.Proc, cfg Config, devices map[*hpc.Node]*gpu.Device, node *hpc.Node, bytes int64) error {
 	if cfg.GPU == GPUOff || bytes == 0 {
 		return nil

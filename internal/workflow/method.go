@@ -156,9 +156,6 @@ func (m Method) String() string {
 	return m.traits().name
 }
 
-// Couples reports whether the method moves data at all.
-func (m Method) Couples() bool { return m.traits().couples }
-
 // ServerPrefix returns the memory-profile component prefix of the
 // method's staging servers ("dataspaces-server", "dimes-server" or
 // "decaf-server"; component i is prefix-i), or "" when the method

@@ -503,7 +503,7 @@ func run(cfg Config) (Result, error) {
 						return err
 					}
 					t0 := p.Now()
-					if err := gpuOut(p, cfg, devices, lay.writerNode(i), blk.Bytes()); err != nil {
+					if err := gpuMove(p, cfg, devices, lay.writerNode(i), blk.Bytes()); err != nil {
 						return err
 					}
 					if err := c.put(p, i, s, blk); err != nil {
@@ -540,7 +540,7 @@ func run(cfg Config) (Result, error) {
 						if err != nil {
 							return err
 						}
-						if err := gpuIn(p, cfg, devices, lay.readerNode(r), blk.Bytes()); err != nil {
+						if err := gpuMove(p, cfg, devices, lay.readerNode(r), blk.Bytes()); err != nil {
 							return err
 						}
 						getTimes[r] += p.Now() - t0
