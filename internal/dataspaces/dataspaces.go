@@ -23,11 +23,11 @@ package dataspaces
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"github.com/imcstudy/imcstudy/internal/hpc"
 	"github.com/imcstudy/imcstudy/internal/ndarray"
+	"github.com/imcstudy/imcstudy/internal/sfc"
 	"github.com/imcstudy/imcstudy/internal/sim"
 	"github.com/imcstudy/imcstudy/internal/staging"
 	"github.com/imcstudy/imcstudy/internal/transport"
@@ -253,7 +253,11 @@ func (s *System) DefineDims(varName string, global ndarray.Box) error {
 		return nil
 	}
 	// Strictly-greater padding per the paper: 2^k > longest extent.
-	k := bits.Len64(global.Dims()[ndarray.LongestDim(global)])
+	longest := global.Dims()[ndarray.LongestDim(global)]
+	k := sfc.BitsFor(longest)
+	if uint64(1)<<uint(k) == longest {
+		k++
+	}
 	cells := 1.0
 	for i := 0; i < global.Rank(); i++ {
 		cells *= float64(uint64(1) << uint(k))

@@ -20,7 +20,7 @@ var modelledPkgs = map[string]bool{
 	"flexpath": true, "gpu": true, "hpc": true, "lammps": true,
 	"laplace": true, "lustre": true, "memprof": true, "metrics": true,
 	"mpi": true, "mpiio": true, "ndarray": true, "prof": true,
-	"rdma": true, "retry": true, "sim": true,
+	"rdma": true, "retry": true, "sfc": true, "sim": true,
 	"staging": true, "synthetic": true, "trace": true,
 	"transport": true, "workflow": true,
 }

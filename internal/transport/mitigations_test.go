@@ -10,21 +10,39 @@ import (
 	"github.com/imcstudy/imcstudy/internal/sim"
 )
 
-func TestBounceVsZeroCopyBoundary(t *testing.T) {
-	// At and below BounceThreshold, from a small eager-sized message up,
-	// no registration happens on either side; above it the full buffers
-	// register on both sides (the Figure 3 failure path).
+func TestEagerPathSkipsRegistration(t *testing.T) {
 	e, m := newTitan(t, 2)
 	src := NewEndpoint(m, m.Nodes[0], "job", "w", ModeRDMA)
 	dst := NewEndpoint(m, m.Nodes[1], "job", "s", ModeRDMA)
 	e.Spawn("p", func(p *sim.Proc) error {
-		for _, size := range []int64{4<<10 - 1, BounceThreshold} {
-			if err := src.Send(p, dst, size, SendOpts{}); err != nil {
-				return err
-			}
-			if src.Domain().HandlesUsed() != 0 || dst.Domain().HandlesUsed() != 0 {
-				t.Errorf("%d-byte send registered handles", size)
-			}
+		// A small message (below the 4 KiB uGNI SMSG eager size) takes the
+		// bounce path like every message up to BounceThreshold: no handles
+		// or memory are touched on either side.
+		if err := src.Send(p, dst, 4<<10-1, SendOpts{}); err != nil {
+			return err
+		}
+		if src.Domain().HandlesUsed() != 0 || dst.Domain().HandlesUsed() != 0 {
+			t.Error("eager send used handles")
+		}
+		return nil
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBounceVsZeroCopyBoundary(t *testing.T) {
+	// At and below BounceThreshold no registration happens; above it the
+	// full buffers register on both sides (the Figure 3 failure path).
+	e, m := newTitan(t, 2)
+	src := NewEndpoint(m, m.Nodes[0], "job", "w", ModeRDMA)
+	dst := NewEndpoint(m, m.Nodes[1], "job", "s", ModeRDMA)
+	e.Spawn("p", func(p *sim.Proc) error {
+		if err := src.Send(p, dst, BounceThreshold, SendOpts{}); err != nil {
+			return err
+		}
+		if got := src.Domain().HandlesUsed(); got != 0 {
+			t.Errorf("bounce path registered %d handles", got)
 		}
 		return src.Send(p, dst, BounceThreshold+1, SendOpts{})
 	})
