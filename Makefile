@@ -107,13 +107,14 @@ results:
 	diff -u "$$want" "$$got" && echo "results_full.txt reproduced"
 
 # microbench runs the per-figure testing.B benchmarks in quick mode,
-# the DIMES Get benchmark at 339 and 6810 writers, staging Store.Query
-# over a 340-block version in two layouts, the telemetry encoders
-# (metrics JSON/CSV and Perfetto trace JSON) on one fixed run, and the
-# fair-share solver: one fill of a fixed ds-matched-shaped network and
-# the 1k-10k sender fan-in.
+# one N-to-1 DataSpaces put/commit/get step (64 writers, 32 readers,
+# 4 servers), the DIMES Get benchmark at 339 and 6810 writers, staging
+# Store.Query over a 340-block version in two layouts, the telemetry
+# encoders (metrics JSON/CSV and Perfetto trace JSON) on one fixed run,
+# and the fair-share solver: one fill of a fixed ds-matched-shaped
+# network and the 1k-10k sender fan-in.
 microbench:
-	$(GO) test -bench . -benchtime 2x -run '^$$' . ./internal/dimes ./internal/sim ./internal/staging ./internal/workflow
+	$(GO) test -bench . -benchtime 2x -run '^$$' . ./internal/dataspaces ./internal/dimes ./internal/sim ./internal/staging ./internal/workflow
 
 # fuzz discovers every native fuzzer in the tree (`go test -list`) and
 # gives each FUZZTIME of shaking; saved crashers in testdata/fuzz replay

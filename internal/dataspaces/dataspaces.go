@@ -27,6 +27,7 @@ import (
 
 	"github.com/imcstudy/imcstudy/internal/hpc"
 	"github.com/imcstudy/imcstudy/internal/ndarray"
+	"github.com/imcstudy/imcstudy/internal/retry"
 	"github.com/imcstudy/imcstudy/internal/sfc"
 	"github.com/imcstudy/imcstudy/internal/sim"
 	"github.com/imcstudy/imcstudy/internal/staging"
@@ -149,9 +150,9 @@ type System struct {
 	gate    *staging.Gate
 
 	// extras are replacement replicas recovery created, keyed by
-	// "var/regionIndex"; reads and replicated writes consult them after
-	// the static replica chain.
-	extras map[string][]*Server
+	// variable and region index; reads and replicated writes consult
+	// them after the static replica chain.
+	extras map[regionKey][]*Server
 
 	recObjects int64
 	recBytes   int64
@@ -181,7 +182,7 @@ func Deploy(m *hpc.Machine, cfg Config, nodes []*hpc.Node) (*System, error) {
 		global:  make(map[string]ndarray.Box),
 		regions: make(map[string][]ndarray.Box),
 		gate:    staging.NewGate(m.E, cfg.Writers),
-		extras:  make(map[string][]*Server),
+		extras:  make(map[regionKey][]*Server),
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		node := nodes[i/cfg.ServersPerNode]
@@ -305,13 +306,16 @@ func (s *System) count(name string, delta float64) {
 
 // replicaChain returns the servers holding region i's objects: the
 // region's primary plus Replication-1 replicas, walking the server list
-// so every chain member sits on a distinct node.
+// so every chain member sits on a distinct node. Without replication
+// the chain is a one-server window on the server list, capped so an
+// append copies it.
 func (s *System) replicaChain(i int) []*Server {
-	primary := s.servers[ndarray.RegionServer(i, len(s.servers))]
-	chain := []*Server{primary}
+	k := ndarray.RegionServer(i, len(s.servers))
 	if s.cfg.Replication <= 1 {
-		return chain
+		return s.servers[k : k+1 : k+1]
 	}
+	primary := s.servers[k]
+	chain := []*Server{primary}
 	nodes := map[*hpc.Node]bool{primary.Node: true}
 	for off := 1; off < len(s.servers) && len(chain) < s.cfg.Replication; off++ {
 		cand := s.servers[(primary.ID+off)%len(s.servers)]
@@ -329,10 +333,17 @@ func (s *System) replicaChain(i int) []*Server {
 // installed.
 func (s *System) candidates(varName string, i int) []*Server {
 	chain := s.replicaChain(i)
-	return append(chain, s.extras[extraKey(varName, i)]...)
+	if extra := s.extras[regionKey{varName, i}]; len(extra) > 0 {
+		return append(chain, extra...)
+	}
+	return chain
 }
 
-func extraKey(varName string, i int) string { return fmt.Sprintf("%s/%d", varName, i) }
+// regionKey names one staging region of one variable.
+type regionKey struct {
+	varName string
+	i       int
+}
 
 // usable decides whether a client/server process should talk to srv,
 // paying the RPC-timeout cost of discovering an undeclared crash the
@@ -410,7 +421,8 @@ func (s *System) recoverRegion(p *sim.Proc, n *hpc.Node, varName string, i int) 
 	if !hit {
 		return nil
 	}
-	for _, srv := range s.extras[extraKey(varName, i)] {
+	rk := regionKey{varName, i}
+	for _, srv := range s.extras[rk] {
 		used[srv.Node] = true
 		if source == nil && !srv.Node.Failed() {
 			source = srv
@@ -454,7 +466,7 @@ func (s *System) recoverRegion(p *sim.Proc, n *hpc.Node, varName string, i int) 
 			s.count("resilience/rereplication/bytes", float64(blk.Bytes()))
 		}
 	}
-	s.extras[extraKey(varName, i)] = append(s.extras[extraKey(varName, i)], target)
+	s.extras[rk] = append(s.extras[rk], target)
 	return nil
 }
 
@@ -476,6 +488,10 @@ type Client struct {
 	// suspect remembers nodes this client has timed out on, so the RPC
 	// timeout of an undeclared crash is paid once, not per message.
 	suspect map[*hpc.Node]bool
+	// parts is Get's scratch list of fetched blocks, reused across gets
+	// and cleared after each so it pins no payload. A get in progress
+	// holds it, and leaves nil here.
+	parts []ndarray.Block
 }
 
 // NewClient attaches a client on the given node. perStepBytes sizes the
@@ -666,22 +682,26 @@ func (c *Client) Get(p *sim.Proc, varName string, version int, box ndarray.Box) 
 	if err := c.sys.gate.WaitReady(p, key); err != nil {
 		return ndarray.Block{}, err
 	}
-	var parts []ndarray.Block
+	// Take the client's buffer for this get, so a second get running
+	// meanwhile on the same client starts its own.
+	parts := c.parts[:0]
+	c.parts = nil
+	defer func() {
+		// Up to cap: a failed attempt's blocks may sit past len.
+		clear(parts[:cap(parts)])
+		c.parts = parts[:0]
+	}()
 	for i, region := range regions {
 		overlap, ok := box.Intersect(region)
 		if !ok {
 			continue
 		}
-		var blocks []ndarray.Block
-		err := c.sys.m.Retry.Do(p, "ds/get", func() error {
-			var err error
-			blocks, err = c.getRegion(p, varName, i, key, overlap)
-			return err
+		parts, err = appendRetried(p, c.sys.m.Retry, "ds/get", parts, func(dst []ndarray.Block) ([]ndarray.Block, error) {
+			return c.getRegion(p, dst, varName, i, key, overlap)
 		})
 		if err != nil {
 			return ndarray.Block{}, fmt.Errorf("dataspaces get %s v%d: %w", varName, version, err)
 		}
-		parts = append(parts, blocks...)
 	}
 	out, err := ndarray.Assemble(box, parts)
 	if err != nil {
@@ -690,46 +710,64 @@ func (c *Client) Get(p *sim.Proc, varName string, version int, box ndarray.Box) 
 	return out, nil
 }
 
+// appendRetried runs fetch under the retry policy r as operation op,
+// appending what it fetches to dst. Every attempt starts from the
+// length dst had before the first: an attempt that fails after
+// appending (its reply lost after the query) leaves nothing behind, so
+// a retried region is never appended twice.
+func appendRetried(p *sim.Proc, r *retry.Retrier, op string, dst []ndarray.Block,
+	fetch func(dst []ndarray.Block) ([]ndarray.Block, error)) ([]ndarray.Block, error) {
+	start := len(dst)
+	err := r.Do(p, op, func() error {
+		var err error
+		dst, err = fetch(dst[:start])
+		return err
+	})
+	return dst, err
+}
+
 // getRegion pulls one staging region's overlap from the first usable
-// replica: the primary when it is alive, otherwise a surviving chain
-// member or a replacement replica recovery installed (a failover read).
-func (c *Client) getRegion(p *sim.Proc, varName string, i int, key staging.Key, overlap ndarray.Box) ([]ndarray.Block, error) {
+// replica, appending its blocks to dst: the primary when it is alive,
+// otherwise a surviving chain member or a replacement replica recovery
+// installed (a failover read). After a failed send the returned slice
+// still holds the queried blocks; appendRetried drops them.
+func (c *Client) getRegion(p *sim.Proc, dst []ndarray.Block, varName string, i int, key staging.Key, overlap ndarray.Box) ([]ndarray.Block, error) {
 	var lastErr error
 	for rank, srv := range c.sys.candidates(varName, i) {
 		if c.sys.cfg.Replication > 1 {
 			ok, err := c.sys.usable(p, srv, c.suspect)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			if !ok {
 				lastErr = fmt.Errorf("region %d replica %d on %s: %w", i, rank, srv.Node.Name(), hpc.ErrNodeFailed)
 				continue
 			}
 		}
-		blocks, err := srv.Store.Query(key, overlap)
+		out, err := srv.Store.QueryAppend(dst, key, overlap)
 		if err != nil {
 			if c.sys.cfg.Replication > 1 && errors.Is(err, staging.ErrNotFound) {
 				lastErr = err // e.g. a replacement replica that missed this key
 				continue
 			}
-			return nil, err
+			return dst, err
 		}
 		var bytes int64
-		for _, b := range blocks {
+		for _, b := range out[len(dst):] {
 			bytes += b.Bytes()
 		}
 		if err := srv.EP.Send(p, c.ep, bytes, transport.SendOpts{}); err != nil {
-			return nil, err
+			return out, err
 		}
 		if rank > 0 {
 			c.sys.count("resilience/failover/gets", 1)
 		}
-		return blocks, nil
+		return out, nil
 	}
 	if lastErr == nil {
 		lastErr = hpc.ErrNodeFailed
 	}
-	return nil, lastErr
+	return dst, lastErr
 }
 
 // Close releases the client's transport state.

@@ -6,8 +6,9 @@ import (
 )
 
 // ErrIncomplete is returned by Assemble when the available blocks do not
-// cover the requested region.
-var ErrIncomplete = errors.New("ndarray: blocks do not cover requested region")
+// tile the requested region: they leave part of it uncovered or cover
+// part of it twice.
+var ErrIncomplete = errors.New("ndarray: blocks do not tile requested region")
 
 // Block is a rectangular piece of a distributed array: a box plus either a
 // dense payload (row-major float64, used for correctness runs) or no
@@ -53,24 +54,27 @@ func (blk Block) Sub(region Box) (Block, error) {
 
 // Assemble gathers the region from the given blocks into one dense block.
 // If every contributing block is synthetic the result is synthetic; mixing
-// dense and synthetic contributions is an error. Assemble fails with
-// ErrIncomplete if the blocks do not fully cover the region.
+// dense and synthetic contributions is an error. The blocks must tile the
+// region exactly: Assemble fails with ErrIncomplete if they cover fewer
+// or more elements of it than it holds, so a gap and a block counted
+// twice (a retried fetch appended again) are both caught.
 func Assemble(region Box, blocks []Block) (Block, error) {
 	covered := uint64(0)
 	dense := false
 	synthetic := false
 	var out []float64
 	for _, blk := range blocks {
-		overlap, ok := blk.Box.Intersect(region)
-		if !ok {
+		n := blk.Box.overlapElems(region)
+		if n == 0 {
 			continue
 		}
-		covered += overlap.NumElems()
+		covered += n
 		if blk.Dense() {
 			dense = true
 			if out == nil {
 				out = make([]float64, region.NumElems())
 			}
+			overlap, _ := blk.Box.Intersect(region)
 			copyRegion(out, region, blk.Data, blk.Box, overlap)
 		} else {
 			synthetic = true
@@ -79,9 +83,7 @@ func Assemble(region Box, blocks []Block) (Block, error) {
 	if dense && synthetic {
 		return Block{}, errors.New("ndarray: cannot assemble mixed dense and synthetic blocks")
 	}
-	// Overlapping source blocks would double-count coverage; a correct
-	// staging store never returns overlapping blocks for one version.
-	if covered < region.NumElems() {
+	if covered != region.NumElems() {
 		return Block{}, fmt.Errorf("%w: %s (covered %d of %d elems)",
 			ErrIncomplete, region, covered, region.NumElems())
 	}

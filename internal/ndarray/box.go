@@ -104,23 +104,34 @@ func (b Box) Clone() Box {
 }
 
 // Intersect returns the overlap of two boxes and whether it is
-// non-empty. An empty overlap costs no allocation.
+// non-empty. An empty overlap costs no allocation, a non-empty one a
+// single allocation: Lo and Hi share one backing array, each capped at
+// its length so an append to either copies.
 func (b Box) Intersect(o Box) (Box, bool) {
-	if len(b.Lo) != len(o.Lo) {
+	if !b.Overlaps(o) {
 		return Box{}, false
 	}
-	for i := range b.Lo {
-		if max(b.Lo[i], o.Lo[i]) >= min(b.Hi[i], o.Hi[i]) {
-			return Box{}, false
-		}
-	}
-	lo := make([]uint64, len(b.Lo))
-	hi := make([]uint64, len(b.Lo))
+	n := len(b.Lo)
+	buf := make([]uint64, 2*n)
+	lo, hi := buf[:n:n], buf[n:]
 	for i := range b.Lo {
 		lo[i] = max(b.Lo[i], o.Lo[i])
 		hi[i] = min(b.Hi[i], o.Hi[i])
 	}
 	return Box{Lo: lo, Hi: hi}, true
+}
+
+// overlapElems returns the number of elements b and o share, without
+// building their intersection; like NumElems, it is 0 for rank 0.
+func (b Box) overlapElems(o Box) uint64 {
+	if len(b.Lo) == 0 || !b.Overlaps(o) {
+		return 0
+	}
+	n := uint64(1)
+	for i := range b.Lo {
+		n *= min(b.Hi[i], o.Hi[i]) - max(b.Lo[i], o.Lo[i])
+	}
+	return n
 }
 
 // Overlaps reports whether the boxes share any element, without

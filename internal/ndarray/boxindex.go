@@ -45,6 +45,10 @@ func (x *BoxIndex) Add(blk Block) {
 	x.stale = true
 }
 
+// Grow makes room for n more blocks, so a caller that knows how many
+// it will add (one like the version it replaces) grows the list once.
+func (x *BoxIndex) Grow(n int) { x.blocks = slices.Grow(x.blocks, n) }
+
 // Blocks returns the blocks in insertion order. The slice is the
 // index's own; callers must not modify it.
 func (x *BoxIndex) Blocks() []Block { return x.blocks }

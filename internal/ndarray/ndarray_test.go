@@ -54,6 +54,15 @@ func TestBoxIntersect(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { a.Intersect(c) }); n != 0 {
 		t.Fatalf("Intersect of disjoint boxes allocated %v times", n)
 	}
+	// A hit builds Lo and Hi in one array, each capped at its length, so
+	// growing Lo cannot write into Hi.
+	if n := testing.AllocsPerRun(10, func() { a.Intersect(b) }); n != 1 {
+		t.Fatalf("Intersect of overlapping boxes allocated %v times, want 1", n)
+	}
+	_ = append(got.Lo, 99)
+	if !got.Equal(want) {
+		t.Fatalf("appending to Lo changed the box to %s", got)
+	}
 }
 
 func TestCheck32BitDims(t *testing.T) {
@@ -110,6 +119,21 @@ func TestAssembleIncomplete(t *testing.T) {
 	}
 	if _, err := Assemble(region, []Block{blk}); !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("Assemble = %v, want ErrIncomplete", err)
+	}
+}
+
+// TestAssembleRejectsOverCoverage checks that a part counted twice, as
+// a retried fetch appended again would be, fails instead of passing
+// because the coverage count reaches the region's size.
+func TestAssembleRejectsOverCoverage(t *testing.T) {
+	region := mustBox(t, []uint64{0}, []uint64{100})
+	left := NewSyntheticBlock(mustBox(t, []uint64{0}, []uint64{60}))
+	right := NewSyntheticBlock(mustBox(t, []uint64{60}, []uint64{100}))
+	if _, err := Assemble(region, []Block{left, right}); err != nil {
+		t.Fatalf("exact tiling: %v", err)
+	}
+	if _, err := Assemble(region, []Block{left, right, right}); !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("duplicated part: Assemble = %v, want ErrIncomplete", err)
 	}
 }
 

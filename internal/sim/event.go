@@ -47,7 +47,14 @@ func (p *Proc) Wait(ev *Event) (any, error) {
 	if ev.fired {
 		return ev.val, nil
 	}
-	ev.waiters = append(ev.waiters, p)
+	if len(ev.waiters) == 0 {
+		// The first waiter lists itself through its own one-slot array
+		// (which always holds p), so the common single wait allocates
+		// nothing; a second waiter's append copies it out.
+		ev.waiters = p.self[:]
+	} else {
+		ev.waiters = append(ev.waiters, p)
+	}
 	if ev.label != "" {
 		p.SetWaitLabel(ev.label)
 	} else {

@@ -303,7 +303,9 @@ func (n *Net) pathFor(links []*Link, rateCap float64) *path {
 	} else {
 		p = new(path)
 	}
-	p.links, p.rateCap, p.rate = links, rateCap, 0
+	// Copy the links into the path's own list (reused from the free
+	// list), so a caller's variadic argument never escapes.
+	p.links, p.rateCap, p.rate = append(p.links[:0], links...), rateCap, 0
 	p.idx = int32(len(n.paths))
 	n.paths = append(n.paths, p)
 	for _, l := range links {
@@ -367,7 +369,7 @@ func (n *Net) freePath(p *path) {
 	n.paths[len(n.paths)-1] = nil
 	n.paths = n.paths[:len(n.paths)-1]
 	p.idx = -1
-	p.links = nil
+	p.links = p.links[:0]
 	n.free = append(n.free, p)
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSingleFlowTransferTime(t *testing.T) {
@@ -352,3 +353,12 @@ func TestNoFailFastLetsSiblingsFinish(t *testing.T) {
 type errStrNet string
 
 func (e errStrNet) Error() string { return string(e) }
+
+// TestNetFlowFitsSizeClass pins a flow, with its completion event, in
+// the 96-byte allocation class: the one allocation every transfer
+// makes. A field more moves every flow to the 112-byte class.
+func TestNetFlowFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(netFlow{}); size > 96 {
+		t.Fatalf("netFlow is %d bytes, want at most 96", size)
+	}
+}

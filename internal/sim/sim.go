@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -130,6 +129,11 @@ type Proc struct {
 	// them via SetWaitLabel before parking.
 	waitingOn    string
 	blockedSince Time
+
+	// self holds p: an event's first waiter list is self[:], with no
+	// allocation (see Wait). Its capacity of one makes every append to
+	// such a list copy, so nothing ever writes into it.
+	self [1]*Proc
 }
 
 // SetWaitLabel names what the process is about to block on, so stall and
@@ -153,6 +157,7 @@ func (p *Proc) Engine() *Engine { return p.e }
 // from a running process.
 func (e *Engine) Spawn(name string, fn func(p *Proc) error) *Proc {
 	p := &Proc{e: e, name: name}
+	p.self[0] = p
 	e.live++
 	e.lastProgress = e.now
 	e.procs = append(e.procs, p)
@@ -200,9 +205,9 @@ func (e *Engine) schedule(t Time, p *Proc, fn func()) *schedItem {
 	}
 	if e.prof != nil {
 		it.site = e.prof.ScheduleSite()
-		e.prof.Scheduled(pooled, e.queue.Len()+1)
+		e.prof.Scheduled(pooled, len(e.queue)+1)
 	}
-	heap.Push(&e.queue, it)
+	e.queue.push(it)
 	return it
 }
 
@@ -301,12 +306,12 @@ func (p *Proc) Sleep(d Time) error {
 // nil on a clean finish.
 func (e *Engine) Run() error {
 	deadlineHit := false
-	for e.queue.Len() > 0 {
+	for len(e.queue) > 0 {
 		if e.failed {
 			e.abortAll()
 			break
 		}
-		it := heap.Pop(&e.queue).(*schedItem)
+		it := e.queue.pop()
 		if it.canceled {
 			e.recycle(it)
 			continue
@@ -350,7 +355,7 @@ func (e *Engine) Run() error {
 			if e.prof == nil {
 				e.resume(p, wakeMsg{})
 			} else {
-				tok := e.prof.BeginEvent(site, p.name, e.now, e.queue.Len())
+				tok := e.prof.BeginEvent(site, p.name, e.now, len(e.queue))
 				e.resume(p, wakeMsg{})
 				e.prof.EndEvent(tok)
 			}
@@ -361,7 +366,7 @@ func (e *Engine) Run() error {
 			if e.prof == nil {
 				fn()
 			} else {
-				tok := e.prof.BeginEvent(site, "", e.now, e.queue.Len())
+				tok := e.prof.BeginEvent(site, "", e.now, len(e.queue))
 				fn()
 				e.prof.EndEvent(tok)
 			}
@@ -379,8 +384,8 @@ func (e *Engine) Run() error {
 // unwinds; used on deadlock and shutdown so Run leaks no goroutines.
 func (e *Engine) abortAll() {
 	// Drain scheduled wake-ups first so procs are not woken twice.
-	for e.queue.Len() > 0 {
-		it := heap.Pop(&e.queue).(*schedItem)
+	for len(e.queue) > 0 {
+		it := e.queue.pop()
 		if it.canceled || it.proc == nil || it.proc.done {
 			continue
 		}
@@ -407,40 +412,66 @@ type schedItem struct {
 	proc     *Proc
 	fn       func()
 	canceled bool
-	index    int
 	// site is the profiler's interned scheduling-site id; 0 ("engine")
 	// whenever no profiler is attached.
 	site int32
 }
 
+// eventHeap is a binary min-heap of schedItems ordered by (t, seq).
+// Every item has a distinct seq, so the order is total and the pop
+// order does not depend on how the heap is laid out.
 type eventHeap []*schedItem
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before reports whether a runs before b.
+func before(a, b *schedItem) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// push adds it to the heap.
+func (h *eventHeap) push(it *schedItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(it, q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = it
+	*h = q
 }
 
-func (h *eventHeap) Push(x any) {
-	it := x.(*schedItem)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+// pop removes and returns the earliest item; the heap must not be empty.
+func (h *eventHeap) pop() *schedItem {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		// Sift last down from the root.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && before(q[r], q[c]) {
+				c = r
+			}
+			if !before(q[c], last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }

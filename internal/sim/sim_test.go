@@ -3,7 +3,9 @@ package sim
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -328,4 +330,87 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEventWakesWaitersInWaitOrder checks that waiters wake in the order
+// they waited, whether they sit in the first waiter's inline slot or in
+// the list appended after it, and that the first waiter can wait on a
+// second event afterwards.
+func TestEventWakesWaitersInWaitOrder(t *testing.T) {
+	e := NewEngine()
+	first, second := e.NewEvent(), e.NewEvent()
+	var order []int
+	for i := 0; i < 3; i++ {
+		e.Spawn("waiter", func(p *Proc) error {
+			if _, err := p.Wait(first); err != nil {
+				return err
+			}
+			order = append(order, i)
+			if i == 0 {
+				if _, err := p.Wait(second); err != nil {
+					return err
+				}
+				order = append(order, 10)
+			}
+			return nil
+		})
+	}
+	e.Spawn("firer", func(p *Proc) error {
+		if err := p.Sleep(1); err != nil {
+			return err
+		}
+		first.Fire(nil)
+		if err := p.Sleep(1); err != nil {
+			return err
+		}
+		second.Fire(nil)
+		return nil
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := []int{0, 1, 2, 10}; !slices.Equal(order, want) {
+		t.Fatalf("wake order = %v, want %v", order, want)
+	}
+}
+
+// TestEventHeapPopsInTimeThenSeqOrder pushes items with many equal
+// times and pops between pushes, as the engine does, and checks that
+// every pop returns the earliest pending item by (t, seq).
+func TestEventHeapPopsInTimeThenSeqOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h eventHeap
+	var pending []*schedItem // the reference: a plain list
+	pop := func() {
+		got := h.pop()
+		want := slices.MinFunc(pending, cmpItems)
+		if got != want {
+			t.Fatalf("pop = (%v, %d), want (%v, %d)", got.t, got.seq, want.t, want.seq)
+		}
+		pending = slices.DeleteFunc(pending, func(it *schedItem) bool { return it == got })
+	}
+	for seq := int64(1); seq <= 500; seq++ {
+		it := &schedItem{t: Time(rng.Intn(20)), seq: seq}
+		h.push(it)
+		pending = append(pending, it)
+		if rng.Intn(3) == 0 {
+			pop()
+		}
+	}
+	for len(h) > 0 {
+		pop()
+	}
+	if len(pending) != 0 {
+		t.Fatalf("%d items left after the heap drained", len(pending))
+	}
+}
+
+func cmpItems(a, b *schedItem) int {
+	if before(a, b) {
+		return -1
+	}
+	if before(b, a) {
+		return 1
+	}
+	return 0
 }

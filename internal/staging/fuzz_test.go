@@ -43,7 +43,7 @@ func FuzzBlockSetQuery(f *testing.F) {
 			boxes = append(boxes, bx)
 		}
 		query := mk(data[len(data)-4:])
-		got, err := bs.query(query)
+		got, err := bs.query(nil, query)
 		if err != nil {
 			t.Fatalf("query(%v): %v", query, err)
 		}

@@ -67,19 +67,18 @@ type blockSet struct {
 	bytes int64
 }
 
-// query returns the sub-blocks of bs intersecting box, in insertion
-// order.
-func (bs *blockSet) query(box ndarray.Box) ([]ndarray.Block, error) {
-	var out []ndarray.Block
+// query appends to dst the sub-blocks of bs intersecting box, in
+// insertion order, and returns the extended slice.
+func (bs *blockSet) query(dst []ndarray.Block, box ndarray.Box) ([]ndarray.Block, error) {
 	var hits [16]int32 // room for the usual hits without a heap allocation
 	blocks := bs.index.Blocks()
 	for _, i := range bs.index.Overlapping(box, hits[:0]) {
 		var err error
-		if out, err = appendSub(out, blocks[i], box); err != nil {
+		if dst, err = appendSub(dst, blocks[i], box); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // appendSub appends the part of blk inside box, which must overlap it.
@@ -130,9 +129,12 @@ func (s *Store) Put(key Key, blk ndarray.Block) error {
 		s.countFault("op_faults")
 		return fmt.Errorf("%w: put %s v%d on %s", hpc.ErrTransientOp, key.Var, key.Version, s.component)
 	}
+	// evicted is the block count of the version eviction dropped last:
+	// the new version is likely to fill up as it did.
+	evicted := 0
 	if s.maxVersions > 0 {
 		if _, exists := s.blocks[key]; !exists && len(s.vers[key.Var]) >= s.maxVersions {
-			s.evictFor(key.Var, key.Version)
+			evicted = s.evictFor(key.Var, key.Version)
 		}
 	}
 	cost := blk.Bytes() + int64(s.overheadFactor*float64(blk.Bytes()))
@@ -150,6 +152,7 @@ func (s *Store) Put(key Key, blk ndarray.Block) error {
 			s.vers[key.Var] = vs
 		}
 		set = &blockSet{}
+		set.index.Grow(evicted)
 		s.blocks[key] = set
 	}
 	set.index.Add(blk)
@@ -196,15 +199,21 @@ func (s *Store) count(op string, objects, cost int64) {
 }
 
 // evictFor drops the oldest versions of a variable until a new version
-// can be admitted within maxVersions.
-func (s *Store) evictFor(varName string, incoming int) {
+// can be admitted within maxVersions, and returns how many blocks the
+// last version it dropped held (0 when it dropped none).
+func (s *Store) evictFor(varName string, incoming int) (blocks int) {
 	for len(s.vers[varName]) >= s.maxVersions {
 		oldest := s.vers[varName][0]
 		if oldest >= incoming {
-			return // never evict a version newer than the incoming one
+			return blocks // never evict a version newer than the incoming one
 		}
-		s.DropVersion(Key{Var: varName, Version: oldest})
+		key := Key{Var: varName, Version: oldest}
+		if set, ok := s.blocks[key]; ok {
+			blocks = len(set.index.Blocks())
+		}
+		s.DropVersion(key)
 	}
+	return blocks
 }
 
 // countFault records one injected transient store fault; no-op without
@@ -220,20 +229,27 @@ func (s *Store) countFault(kind string) {
 // store's node fail the query transiently with hpc.ErrTransientOp
 // before any lookup happens.
 func (s *Store) Query(key Key, box ndarray.Box) ([]ndarray.Block, error) {
+	return s.QueryAppend(nil, key, box)
+}
+
+// QueryAppend is Query appending the parts to dst, so a caller that
+// queries repeatedly can reuse one buffer. On error it returns dst
+// unchanged.
+func (s *Store) QueryAppend(dst []ndarray.Block, key Key, box ndarray.Box) ([]ndarray.Block, error) {
 	if s.node.DrawOpFault(s.m.E.Now()) {
 		s.countFault("op_faults")
-		return nil, fmt.Errorf("%w: get %s v%d on %s", hpc.ErrTransientOp, key.Var, key.Version, s.component)
+		return dst, fmt.Errorf("%w: get %s v%d on %s", hpc.ErrTransientOp, key.Var, key.Version, s.component)
 	}
 	set, ok := s.blocks[key]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s v%d %s on %s", ErrNotFound, key.Var, key.Version, box, s.component)
+		return dst, fmt.Errorf("%w: %s v%d %s on %s", ErrNotFound, key.Var, key.Version, box, s.component)
 	}
-	out, err := set.query(box)
+	out, err := set.query(dst, box)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: %s v%d %s on %s", ErrNotFound, key.Var, key.Version, box, s.component)
+	if len(out) == len(dst) {
+		return dst, fmt.Errorf("%w: %s v%d %s on %s", ErrNotFound, key.Var, key.Version, box, s.component)
 	}
 	return out, nil
 }
